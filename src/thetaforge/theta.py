@@ -20,12 +20,18 @@ the completed kernel the same holds sector by sector through the (S, P)
 recursion of the certificate. Enumeration covers the ellipsoid
 P_+(k + offset + b) <= R^2; the remainder is bounded by an analytic
 Gaussian shell integral, so the radius doubles without re-enumeration
-until the bound sits below the tolerance.
+until the bound sits below the tolerance. The ellipsoid's points are found
+by layers in the Cholesky frame of P_+ (Fincke-Pohst): one coordinate per
+layer, a whole frontier of partial points per numpy step, built depth first
+in pieces of bounded size and returned in lexicographic order, so no value
+depends on where the pieces were cut.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -50,8 +56,12 @@ class TruncationPolicy:
     max_points: int = 10_000_000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValidationError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(f"tol must be finite and positive, got {self.tol}")
+        if self.initial_radius is not None and not (
+                math.isfinite(self.initial_radius) and self.initial_radius > 0):
+            raise ValidationError(
+                f"initial_radius must be finite and positive, got {self.initial_radius}")
         if self.max_points < 1:
             raise ValidationError("max_points must be positive")
 
@@ -110,6 +120,9 @@ class ThetaSpec:
             raise ValidationError("mu and p must have the form's dimension")
         if self.b.shape != (n,) or self.c_ell.shape != (n,):
             raise ValidationError("b and c_ell must have the form's dimension")
+        if not (np.all(np.isfinite(self.b)) and np.all(np.isfinite(self.c_ell))
+                and cmath.isfinite(self.tau)):
+            raise ValidationError("b, c_ell and tau must be finite")
         if self.tau.imag <= 0:
             raise ValidationError("tau must lie in the upper half plane")
         if isinstance(self.kernel, str) and self.kernel not in ("holomorphic", "completed"):
@@ -214,6 +227,14 @@ def kernel_phi_signs(pair: ConePair, x):
     return val, hit
 
 
+def _majorant(A: np.ndarray):
+    """P_+ = V |w| V^T from the eigenpairs of A, and the upper triangular
+    U with U^T U = P_+ that the enumerator works in."""
+    w, V = np.linalg.eigh(A)
+    P_plus = (V * np.abs(w)) @ V.T
+    return P_plus, np.linalg.cholesky(P_plus).T
+
+
 class _PairRuntime:
     """Float-side data derived from an exact cone certificate, cached per
     pair: majorant frame, decay rates, and the 2^r completion cones."""
@@ -229,9 +250,7 @@ class _PairRuntime:
             if pair.r else np.zeros((pair.n, 0))
         self.Cp = np.array([[float(v) for v in col] for col in pair.C_prime]).T \
             if pair.r else np.zeros((pair.n, 0))
-        w, V = np.linalg.eigh(A)
-        self.P_plus = (V * np.abs(w)) @ V.T
-        self.chol_u = np.linalg.cholesky(self.P_plus).T
+        self.P_plus, self.chol_u = _majorant(A)
         self.covol = abs(float(np.linalg.det(self.chol_u)))
         self.cell_d = 0.5 * float(np.sum(np.linalg.norm(self.chol_u, axis=0)))
         self.q_minus = np.array([[float(v) for v in row] for row in report.q_minus])
@@ -330,52 +349,83 @@ class _CountExceeded(Exception):
     pass
 
 
+# Most nodes of one layer that the enumerator builds at once, so memory
+# stays near n * _PIECE words per layer whatever the radius.
+_PIECE = 1 << 15
+# An interval reaching past _SPAN comes from a radius or an offset no budget
+# reaches; refusing it keeps every cast to int64 exact and the child count
+# of a piece (at most _PIECE * (2 * _SPAN + 1) < 2^63) free of overflow.
+_SPAN = 2.0 ** 45
+
+
 def _enumerate_shifts(U: np.ndarray, t: np.ndarray, radius: float, max_points: int) -> np.ndarray:
     """All integer m with ||U (m + t)||^2 <= radius^2, U upper triangular.
 
-    Lexicographic in (m_{n-1}, ..., m_0); the innermost coordinate is
-    vectorized. Raises _CountExceeded past max_points.
+    Fincke-Pohst enumeration by layers: the coordinates are fixed from
+    m_{n-1} down to m_0, and each layer works on a frontier of partial
+    points at once. A parent's remaining squared radius rem2 and its shift
+    (the fixed columns j > i folded into rows 0..i) give its integer interval
+    for m_i; the children are counted first, then expanded with np.repeat.
+    The frontier is built depth first, in pieces of at most _PIECE nodes,
+    so rows come out lexicographic in (m_{n-1}, ..., m_0). Raises
+    _CountExceeded as soon as more than max_points points are found, or when
+    an interval is not finite or reaches past _SPAN.
     """
     n = U.shape[0]
-    rad2 = radius * radius
-    out = []
+    found = []
     count = 0
-    m = np.zeros(n, dtype=np.int64)
 
-    def rec(i: int, rem2: float, shift: np.ndarray):
-        # row i contributes (U_ii (m_i + t_i) + shift_i)^2; shift holds the
-        # already-fixed columns j > i folded into rows 0..i
+    def layer(i: int, prefix: np.ndarray, rem2: np.ndarray, shift: np.ndarray):
+        # prefix holds m_{i+1..n-1} of each parent, shift its rows 0..i and
+        # rem2 >= 0 its squared radius left for rows 0..i
         nonlocal count
         uii = U[i, i]
-        center = -t[i] - shift[i] / uii
-        half = math.sqrt(max(rem2, 0.0)) / abs(uii)
-        lo = math.ceil(center - half - 1e-12)
-        hi = math.floor(center + half + 1e-12)
-        if hi < lo:
-            return
-        if i == 0:
-            ms = np.arange(lo, hi + 1, dtype=np.int64)
-            v = uii * (ms + t[0]) + shift[0]
-            ok = ms[v * v <= rem2 + 1e-12]
-            count += len(ok)
-            if count > max_points:
-                raise _CountExceeded
-            for m0 in ok:
-                m[0] = m0
-                out.append(m.copy())
-            return
-        for mi in range(lo, hi + 1):
-            v = uii * (mi + t[i]) + shift[i]
-            rem_next = rem2 - v * v
-            if rem_next < -1e-12:
+        center = -t[i] - shift[:, i] / uii
+        half = np.sqrt(rem2) / abs(uii)
+        if not (np.abs(center) + half < _SPAN).all():
+            raise _CountExceeded
+        lo = np.ceil(center - half - 1e-12).astype(np.int64)
+        counts = np.maximum(np.floor(center + half + 1e-12).astype(np.int64) - lo + 1, 0)
+        ends = counts.cumsum()
+        total = int(ends[-1])
+        for a in range(0, total, _PIECE):
+            b = min(a + _PIECE, total)
+            # children a..b-1 belong to parents p0..p1-1, the outer two clipped
+            if total <= _PIECE:
+                p0, p1 = 0, len(ends)
+            else:
+                p0 = int(ends.searchsorted(a, side="right"))
+                p1 = int(ends.searchsorted(b - 1, side="right")) + 1
+            starts = ends[p0:p1] - counts[p0:p1]
+            k = np.minimum(ends[p0:p1], b) - np.maximum(starts, a)
+            par = np.arange(p0, p1).repeat(k)
+            mi = (lo[p0:p1] - starts + a).repeat(k) + np.arange(b - a)
+            x = mi + t[i]
+            v = uii * x + shift[par, i]
+            if i == 0:
+                ok = v * v <= (rem2 + 1e-12)[par]
+                count += int(np.count_nonzero(ok))
+                if count > max_points:
+                    raise _CountExceeded
+                rows = prefix[par[ok]]
+                rows[:, 0] = mi[ok]
+                found.append(rows)
                 continue
-            m[i] = mi
-            rec(i - 1, max(rem_next, 0.0), shift + U[:, i] * (mi + t[i]))
+            rem_next = rem2[par] - v * v
+            keep = rem_next >= -1e-12
+            if not keep.any():
+                continue
+            sel = par[keep]
+            child = prefix[sel]
+            child[:, i] = mi[keep]
+            layer(i - 1, child, np.maximum(rem_next[keep], 0.0),
+                  shift[sel, :i] + U[:i, i] * x[keep, None])
 
-    rec(n - 1, rad2, np.zeros(n))
-    if not out:
+    layer(n - 1, np.zeros((1, n), dtype=np.int64), np.array([radius * radius]),
+          np.zeros((1, n)))
+    if not found:
         return np.zeros((0, n), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+    return np.concatenate(found)
 
 
 def _shell_tail(a: float, R: float, d: float, n: int, covol: float) -> float:
@@ -384,34 +434,35 @@ def _shell_tail(a: float, R: float, d: float, n: int, covol: float) -> float:
 
         (omega_{n-1}/covol) int_{R-d}^inf rho^{n-1} e^{-a (rho-d)^2} drho.
 
-    Requires R > 2d; the integral is a finite incomplete-gamma sum.
+    Requires R > 2d; the integral is a finite incomplete-gamma sum. A decay
+    rate so small that a^s underflows gives inf, the bound that still holds.
     """
     X = R - 2.0 * d
     if X <= 0:
         return math.inf
     total = 0.0
     aX2 = a * X * X
-    for i in range(n):
-        # int_X^inf sigma^i e^{-a sigma^2} dsigma
-        s = (i + 1) / 2.0
-        integral = gamma_fn(s) * gammaincc(s, aX2) / (2.0 * a ** s)
-        total += comb(n - 1, i) * d ** (n - 1 - i) * integral
-    omega = 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
-    return omega / covol * total
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(n):
+            # int_X^inf sigma^i e^{-a sigma^2} dsigma
+            s = (i + 1) / 2.0
+            integral = gamma_fn(s) * gammaincc(s, aX2) / (2.0 * a ** s)
+            total += comb(n - 1, i) * d ** (n - 1 - i) * integral
+        omega = 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
+        bound = omega / covol * total
+    return bound if math.isfinite(bound) else math.inf
 
 
 def enumerate_lattice(spec: ThetaSpec, radius: float, max_points: int = 10_000_000) -> np.ndarray:
     """Integer shifts m such that P_+(m + offset + b) <= radius^2, where the
     summation variable is k = m + offset, offset = mu + p/2. Deterministic
     lexicographic order."""
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValidationError(f"radius must be finite and non-negative, got {radius}")
     if isinstance(spec.kernel, str):
-        rt = _pair_runtime(spec.pair)
-        t = np.array([float(o) for o in spec.offset]) + spec.b
-        return _enumerate_shifts(rt.chol_u, t, radius, max_points)
-    A = spec.form.matrix()
-    w, V = np.linalg.eigh(A)
-    P_plus = (V * np.abs(w)) @ V.T
-    U = np.linalg.cholesky(P_plus).T
+        U = _pair_runtime(spec.pair).chol_u
+    else:
+        U = _majorant(spec.form.matrix())[1]
     t = np.array([float(o) for o in spec.offset]) + spec.b
     return _enumerate_shifts(U, t, radius, max_points)
 
@@ -432,7 +483,8 @@ def _holo_phi_vals(rt: _PairRuntime, Y: np.ndarray):
 def _assemble_value(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime | None):
     n = spec.form.n
     A = spec.form.matrix()
-    off = np.array([float(o) for o in spec.offset])
+    offset = spec.offset
+    off = np.array([float(o) for o in offset])
     K = m + off
     Y = K + spec.b
     tau = spec.tau
@@ -444,7 +496,7 @@ def _assemble_value(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime | None):
     if spec.kernel == "holomorphic":
         phi, hits = _holo_phi_vals(rt, Y)
         for idx in np.nonzero(hits)[0][:WALL_HIT_CAP]:
-            wall_hits.append(tuple(Fraction(int(m[idx, i])) + spec.offset[i]
+            wall_hits.append(tuple(Fraction(int(m[idx, i])) + offset[i]
                                    for i in range(n)))
         # support bound Q(y) <= Q_-(y) wherever phi != 0; certificate guarantee
         sup = phi != 0
@@ -495,16 +547,23 @@ def eval_theta(spec: ThetaSpec, policy: TruncationPolicy = TruncationPolicy()) -
         R = policy.initial_radius or max(3.0, 2.0 * rt.cell_d + 1.0)
         R = max(R, 2.0 * rt.cell_d + 0.5)
         lam_pre = tau2 ** (-spec.lam / 2.0)
-        while 2.0 * Kpre * lam_pre * _shell_tail(a, R, rt.cell_d, rt.n, rt.covol) > policy.tol:
+
+        def tail_at(radius):
+            return 2.0 * Kpre * lam_pre * _shell_tail(a, radius, rt.cell_d, rt.n, rt.covol)
+
+        # a tiny tau_2 can keep the bound above tol up to R = inf, which no
+        # budget reaches; the enumeration below then reports the overrun
+        tail = tail_at(R)
+        while tail > policy.tol and math.isfinite(R):
             R *= 2.0
-        tail = 2.0 * Kpre * lam_pre * _shell_tail(a, R, rt.cell_d, rt.n, rt.covol)
+            tail = tail_at(R)
         t = np.array([float(o) for o in spec.offset]) + spec.b
         try:
             m = _enumerate_shifts(rt.chol_u, t, R, policy.max_points)
         except _CountExceeded:
             m, R_fit = _largest_feasible(rt.chol_u, t, R, policy.max_points)
             value, hits = _assemble_value(spec, m, rt)
-            tail_fit = 2.0 * Kpre * lam_pre * _shell_tail(a, R_fit, rt.cell_d, rt.n, rt.covol)
+            tail_fit = tail_at(R_fit)
             partial = ThetaValue(value=value, n_points=m.shape[0],
                                  tail_estimate=tail_fit, wall_hits=hits)
             raise BudgetExceeded(
@@ -517,6 +576,7 @@ def eval_theta(spec: ThetaSpec, policy: TruncationPolicy = TruncationPolicy()) -
 
 
 def _largest_feasible(U, t, R, max_points):
+    R = min(R, sys.float_info.max)  # halving inf would never end
     while R > 1.0:
         R /= 2.0
         try:
@@ -527,10 +587,7 @@ def _largest_feasible(U, t, R, max_points):
 
 
 def _eval_theta_user(spec: ThetaSpec, policy: TruncationPolicy) -> ThetaValue:
-    A = spec.form.matrix()
-    w, V = np.linalg.eigh(A)
-    P_plus = (V * np.abs(w)) @ V.T
-    U = np.linalg.cholesky(P_plus).T
+    U = _majorant(spec.form.matrix())[1]
     t = np.array([float(o) for o in spec.offset]) + spec.b
     R = policy.initial_radius or 3.0
     stable = 0

@@ -204,6 +204,30 @@ def test_theta_budget_exit(capsys, tmp_path):
     assert "budget" in err or "partial" in err
 
 
+@pytest.mark.parametrize("policy", [{"tol": math.nan}, {"tol": math.inf},
+                                    {"initial_radius": math.nan},
+                                    {"initial_radius": -math.inf}])
+def test_theta_non_finite_policy_exits_3(capsys, tmp_path, policy):
+    doc_in = dict(HYP_THETA, policy=policy)
+    cfg = write_config(tmp_path, "bad_policy.json", doc_in)
+    code, doc, _ = run_cli(capsys, "theta", "--config", cfg)
+    assert code == 3
+    assert doc["error"]["type"] == "ValidationError"
+    code, doc, _ = run_cli(capsys, "theta", "--config", write_config(
+        tmp_path, "hyp.json", HYP_THETA), "--tol", "nan")
+    assert code == 3
+
+
+def test_theta_tiny_imaginary_tau_exits_4(capsys, tmp_path):
+    doc_in = dict(D12_THETA, policy={"tol": 1e-8, "max_points": 1000})
+    doc_in["theta"] = dict(D12_THETA["theta"], tau=[0.0, 1e-300])
+    cfg = write_config(tmp_path, "tiny_tau.json", doc_in)
+    code, doc, _ = run_cli(capsys, "theta", "--config", cfg)
+    assert code == 4
+    assert doc["partial"] is True
+    assert 0 < doc["n_points"] <= 1000
+
+
 def test_theta_output_byte_identical(capsys, tmp_path):
     cfg = write_config(tmp_path, "hyp.json", HYP_THETA)
     main(["theta", "--config", cfg])

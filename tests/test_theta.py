@@ -11,9 +11,10 @@ import pytest
 from thetaforge.cones import ConePair
 from thetaforge.exceptions import BudgetExceeded, ValidationError
 from thetaforge.quadform import BilinearForm
-from thetaforge.theta import (QExpansion, ThetaSpec, TruncationPolicy,
-                              discriminant_group, enumerate_lattice, eval_theta,
-                              kernel_phi, kernel_phi_hat, q_expansion)
+from thetaforge.theta import (QExpansion, ThetaSpec, TruncationPolicy, _CountExceeded,
+                              _enumerate_shifts, _pair_runtime, discriminant_group,
+                              enumerate_lattice, eval_theta, kernel_phi, kernel_phi_hat,
+                              q_expansion)
 
 HYP = BilinearForm.from_rows([[0, 1], [1, 0]])
 D22 = BilinearForm.from_rows([[2, 0], [0, -2]])
@@ -123,6 +124,135 @@ def test_budget_exceeded_carries_partial():
     partial = exc_info.value.partial
     assert partial is not None
     assert partial.n_points <= 30
+
+
+def recursive_shifts(U, t, radius, max_points):
+    """Reference enumerator: one recursion frame per partial point and one
+    row copy per point, the innermost coordinate vectorized. Same interval
+    arithmetic as the layered enumerator, so the rows must match exactly."""
+    n = U.shape[0]
+    out = []
+    count = 0
+    m = np.zeros(n, dtype=np.int64)
+
+    def rec(i, rem2, shift):
+        nonlocal count
+        uii = U[i, i]
+        center = -t[i] - shift[i] / uii
+        half = math.sqrt(max(rem2, 0.0)) / abs(uii)
+        lo = math.ceil(center - half - 1e-12)
+        hi = math.floor(center + half + 1e-12)
+        if hi < lo:
+            return
+        if i == 0:
+            ms = np.arange(lo, hi + 1, dtype=np.int64)
+            v = uii * (ms + t[0]) + shift[0]
+            ok = ms[v * v <= rem2 + 1e-12]
+            count += len(ok)
+            if count > max_points:
+                raise _CountExceeded
+            for m0 in ok:
+                m[0] = m0
+                out.append(m.copy())
+            return
+        for mi in range(lo, hi + 1):
+            v = uii * (mi + t[i]) + shift[i]
+            rem_next = rem2 - v * v
+            if rem_next < -1e-12:
+                continue
+            m[i] = mi
+            rec(i - 1, max(rem_next, 0.0), shift + U[:, i] * (mi + t[i]))
+
+    rec(n - 1, radius * radius, np.zeros(n))
+    if not out:
+        return np.zeros((0, n), dtype=np.int64)
+    return np.array(out, dtype=np.int64)
+
+
+PRODUCT = BilinearForm.from_rows([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, -2]])
+A2 = BilinearForm.from_rows([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+
+
+def oracle_pairs(a4_pair):
+    """(name, pair, radii): the three rank-1 pairs, the product pair, the
+    rank-2 A2 analogue of the A4 example and A4 itself."""
+    r1 = ConePair.from_matrices([[1], [0]], [[2], [1]],
+                                BilinearForm.from_rows([[1, 0], [0, -1]]))
+    product = ConePair.from_matrices([[1, 0], [0, 0], [0, 1], [0, 0]],
+                                     [[2, 0], [1, 0], [0, 2], [0, 1]], PRODUCT)
+    a2 = ConePair.from_matrices([[1, 0], [0, 1], [0, 0], [0, 0]],
+                                [[1, 0], [0, 1], [0, -1], [-1, 0]], A2)
+    rank1 = (0.0, 0.5, 1.0, 2.5, 6.0, 12.0)
+    return [("d12", d12_pair(), rank1), ("d22", d22_pair(), rank1), ("r1", r1, rank1),
+            ("product", product, (0.5, 1.5, 3.0, 6.0, 12.0)),
+            ("a2", a2, (0.5, 1.5, 3.0, 6.0)), ("a4", a4_pair, (0.0, 1.0, 2.0, 3.0))]
+
+
+def test_layered_enumeration_matches_recursive_oracle(a4_pair):
+    rng = np.random.default_rng(20260)
+    for name, pair, radii in oracle_pairs(a4_pair):
+        U = _pair_runtime(pair).chol_u
+        for radius in radii:
+            for t in (np.zeros(pair.n), rng.uniform(-1.0, 1.0, pair.n),
+                      rng.uniform(-3.0, 3.0, pair.n)):
+                want = recursive_shifts(U, t, radius, 10 ** 7)
+                got = _enumerate_shifts(U, t, radius, 10 ** 7)
+                assert got.dtype == np.int64 and got.shape == want.shape, (name, radius, t)
+                assert np.array_equal(got, want), (name, radius, t)
+
+
+def test_layered_enumeration_splits_one_wide_interval():
+    # 80,001 children of the single root are built in several pieces
+    U = np.array([[1.0]])
+    t = np.array([0.3])
+    got = _enumerate_shifts(U, t, 40000.5, 10 ** 6)
+    assert np.array_equal(got, recursive_shifts(U, t, 40000.5, 10 ** 6))
+    assert np.array_equal(got[:, 0], np.arange(-40000, 40001))
+
+
+def test_enumeration_budget_boundary():
+    spec = hyp_spec(b=(0.1, 0.2))
+    n_pts = enumerate_lattice(spec, 6.0).shape[0]
+    assert enumerate_lattice(spec, 6.0, max_points=n_pts).shape[0] == n_pts
+    with pytest.raises(_CountExceeded):
+        enumerate_lattice(spec, 6.0, max_points=n_pts - 1)
+    full = eval_theta(spec, TruncationPolicy(tol=1e-10))
+    exact = eval_theta(spec, TruncationPolicy(tol=1e-10, max_points=full.n_points))
+    assert exact.value == full.value and exact.n_points == full.n_points
+    with pytest.raises(BudgetExceeded):
+        eval_theta(spec, TruncationPolicy(tol=1e-10, max_points=full.n_points - 1))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": math.nan}, {"tol": math.inf}, {"tol": -math.inf}, {"tol": 0.0},
+    {"initial_radius": math.nan}, {"initial_radius": math.inf},
+    {"initial_radius": 0.0}, {"initial_radius": -2.0},
+])
+def test_policy_rejects_non_finite_or_non_positive(kwargs):
+    with pytest.raises(ValidationError):
+        TruncationPolicy(**kwargs)
+
+
+def test_spec_rejects_non_finite_inputs():
+    for kwargs in ({"b": (math.nan, 0.0)}, {"c": (0.0, math.inf)},
+                   {"tau": complex(math.inf, 1.0)}):
+        with pytest.raises(ValidationError):
+            hyp_spec(**kwargs)
+    with pytest.raises(ValidationError):
+        enumerate_lattice(hyp_spec(), math.nan)
+
+
+def test_tiny_imaginary_tau_ends_in_budget():
+    # the Gaussian bound never drops below tol at a reachable radius, so
+    # the run must stop at the point budget with a partial value
+    spec = ThetaSpec(form=D12, mu=(0, 0), p=(1, 0), b=np.zeros(2), c_ell=np.zeros(2),
+                     tau=1e-300j, kernel="holomorphic", pair=d12_pair())
+    with pytest.raises(BudgetExceeded) as exc_info:
+        eval_theta(spec, TruncationPolicy(tol=1e-8, max_points=1000))
+    partial = exc_info.value.partial
+    assert partial is not None
+    assert 0 < partial.n_points <= 1000
+    assert not math.isnan(partial.tail_estimate)
 
 
 def test_discriminant_group_d22():
