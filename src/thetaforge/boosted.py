@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import rational as ra
-from .errfn import DEFAULT_QUAD, ErrFnArgument, ErrFnValue, QuadratureSpec, eval_E, eval_M
+from .errfn import (DEFAULT_QUAD, ErrFnArgument, ErrFnValue, QuadratureSpec, _subsets, eval_E,
+                    eval_M)
 from .exceptions import DegenerateGram, NotTimelike
 from .quadform import BilinearForm, ErrorFunctionFrame
 
@@ -191,11 +191,6 @@ def perp_cone(cone: ConeMatrix, S, S_prime) -> ConeMatrix:
     the projection degenerates (e.g. S' = S gives zero columns)."""
     cols = perp_columns(cone.C, cone.form, S, S_prime)
     return build_cone(cols, cone.form)
-
-
-def _subsets(s: int):
-    for k in range(s + 1):
-        yield from combinations(range(s), k)
 
 
 def _sub_cone(cone: ConeMatrix, S) -> ConeMatrix:

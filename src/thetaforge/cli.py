@@ -154,6 +154,8 @@ class JobConfig:
             _require_keys(sec, {"nodes_per_axis"}, "quadrature")
             if "nodes_per_axis" in sec:
                 quad = QuadratureSpec(nodes_per_axis=int(sec["nodes_per_axis"]))
+                # the completed kernel of a rank-r pair evaluates E_r
+                quad.check_grid(max(pair.r, 1) if pair is not None else 1)
 
         theta = None
         if "theta" in doc:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import rational as ra
-from .exceptions import NonExactInput, ZeroDelta
+from .exceptions import ZeroDelta
 from .quadform import BilinearForm, signature
 
 CONDITION_ORDER = (
@@ -63,11 +63,8 @@ class ConePair:
 
     @classmethod
     def from_matrices(cls, C, C_prime, form: BilinearForm) -> "ConePair":
-        try:
-            cols = _exact_columns(C, form.n)
-            cols_p = _exact_columns(C_prime, form.n)
-        except NonExactInput:
-            raise
+        cols = _exact_columns(C, form.n)
+        cols_p = _exact_columns(C_prime, form.n)
         if len(cols) != len(cols_p):
             raise ValueError("C and C' must have the same number of columns")
         return cls(C=cols, C_prime=cols_p, form=form)
@@ -137,12 +134,6 @@ def _zeroed_cofactor_matrix(cof, r):
 
 def _negated(mat):
     return [[-x for x in row] for row in mat]
-
-
-def _is_negative_definite(mat) -> bool:
-    if len(mat) == 0:
-        return True
-    return ra.is_positive_definite(_negated(mat))
 
 
 def _q_minus_matrix(A, delta, cofs, cs, cps):
@@ -255,7 +246,7 @@ class _Checker:
             conditions["cofactor_sign"] = all(sign_r * D >= 0 for D in cofs)
             M = _zeroed_cofactor_matrix(cof, rp)
             Msigned = M if sign_r == 1 else _negated(M)
-            conditions["reduced_cofactor_negative_definite"] = _is_negative_definite(Msigned)
+            conditions["reduced_cofactor_negative_definite"] = ra.is_negative_definite(Msigned)
             reduced = tuple(tuple(row) for row in M)
         else:
             cofs = ()

@@ -1,6 +1,6 @@
 """Generalized error functions E_r and their complements M_r.
 
-E_r(M; u) = int_{R^r} e^{-pi (u-u')ature(u-u')} sign(prod_j m_j . u') d^r u' is the
+E_r(M; u) = int_{R^r} e^{-pi (u-u')^T (u-u')} sign(prod_j m_j . u') d^r u' is the
 Gaussian-smoothed sign product attached to a nonsingular frame M; M_r is the
 exponentially small complement with prescribed jumps across the walls
 w_j . u = 0 of the dual frame. Conventions: M_0 = E_0 = 1, sign(0) = 0.
@@ -31,10 +31,14 @@ from itertools import combinations
 import numpy as np
 from scipy.special import erfcx
 
-from .exceptions import RankTooLarge, WallTooClose
+from .exceptions import RankTooLarge, ValidationError, WallTooClose
 from .quadform import ErrorFunctionFrame, SubsetProjectors, subset_projectors
 
 HARD_RANK_CAP = 6
+# Most points nodes_per_axis ** r that a rank-r tensor rule may ask for: the
+# default 64 nodes at rank 4, the largest grid that the defaults, the verify
+# suite (320 nodes at rank 2) and the benchmark ask for.
+MAX_GRID_POINTS = 64 ** 4
 _CUT = 46.0  # exp(-46) ~ 1e-20 truncation for the orthant boxes
 
 
@@ -43,8 +47,9 @@ class QuadratureSpec:
     """Quadrature policy for direct M_r evaluation.
 
     nodes_per_axis: tensor rule size per axis (the error estimate reruns at
-    half this). scheme 'orthant-gl' is the production path; 'contour-gh'
-    selects the contour-shifted Gauss-Hermite rule.
+    half this); at rank r, nodes_per_axis ** r may not exceed
+    MAX_GRID_POINTS. scheme 'orthant-gl' is the production path;
+    'contour-gh' selects the contour-shifted Gauss-Hermite rule.
     """
 
     nodes_per_axis: int = 64
@@ -58,6 +63,14 @@ class QuadratureSpec:
             raise ValueError("max_r_direct must be nonnegative")
         if self.scheme not in ("orthant-gl", "contour-gh"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+
+    def check_grid(self, r: int) -> None:
+        """Refuse a rank-r grid of more than MAX_GRID_POINTS points before
+        any node is computed."""
+        if self.nodes_per_axis ** r > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"{self.nodes_per_axis} nodes per axis at rank {r} ask for a grid of "
+                f"{self.nodes_per_axis ** r} points, over the cap of {MAX_GRID_POINTS}")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -203,6 +216,7 @@ def _check_rank(r: int, quad: QuadratureSpec):
     cap = min(quad.max_r_direct, HARD_RANK_CAP)
     if r > cap:
         raise RankTooLarge(f"rank {r} exceeds direct evaluation cap {cap}")
+    quad.check_grid(r)
 
 
 def _check_walls(a: np.ndarray, wall_eps: float):

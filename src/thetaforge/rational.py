@@ -279,15 +279,3 @@ def gram(form_matrix, vectors):
     """Gram matrix G_ij = v_i^T A v_j for columns given as a list of vectors."""
     Av = [mat_vec(form_matrix, v) for v in vectors]
     return [[dot(vectors[i], Av[j]) for j in range(len(vectors))] for i in range(len(vectors))]
-
-
-def to_float_matrix(A):
-    import numpy as np
-
-    return np.array([[float(x) for x in row] for row in A], dtype=float)
-
-
-def to_float_vector(v):
-    import numpy as np
-
-    return np.array([float(x) for x in v], dtype=float)

@@ -194,37 +194,22 @@ def _is_exact_vector(x) -> bool:
 def kernel_phi(pair: ConePair, x):
     """phi_r(x) = 2^{-r} prod_j [sign B(c_j,x) - sign B(c'_j,x)], exact
     Fraction for exact input, float otherwise; sign(0) = 0."""
-    value, _ = kernel_phi_signs(pair, x)
-    return value
-
-
-def kernel_phi_signs(pair: ConePair, x):
-    """(phi_r(x), hit) where hit flags a vanishing sign argument."""
     if _is_exact_vector(x):
-        xv = [ra.as_fraction(v) for v in x]
-        A = [list(r) for r in pair.form.exact()]
-        Ax = ra.mat_vec(A, xv)
+        Ax = ra.mat_vec(pair.form.exact(), [ra.as_fraction(v) for v in x])
         prod = Fraction(1)
-        hit = False
         for c, cp in zip(pair.C, pair.C_prime):
-            s1 = ra.dot(list(c), Ax)
-            s2 = ra.dot(list(cp), Ax)
-            if s1 == 0 or s2 == 0:
-                hit = True
+            s1 = ra.dot(c, Ax)
+            s2 = ra.dot(cp, Ax)
             f = ((s1 > 0) - (s1 < 0)) - ((s2 > 0) - (s2 < 0))
             if f == 0:
-                return Fraction(0), hit
+                return Fraction(0)
             prod *= Fraction(f, 2)
-        return prod, hit
+        return prod
     xf = np.asarray(x, dtype=float)
     Af = pair.form.matrix()
     Cf = np.array([[float(v) for v in col] for col in pair.C]).T
     Cpf = np.array([[float(v) for v in col] for col in pair.C_prime]).T
-    s1 = Cf.T @ Af @ xf
-    s2 = Cpf.T @ Af @ xf
-    hit = bool(np.any(s1 == 0.0) or np.any(s2 == 0.0))
-    val = float(np.prod((np.sign(s1) - np.sign(s2)) / 2.0))
-    return val, hit
+    return float(np.prod((np.sign(Cf.T @ Af @ xf) - np.sign(Cpf.T @ Af @ xf)) / 2.0))
 
 
 def _majorant(A: np.ndarray):
@@ -559,9 +544,9 @@ def eval_theta(spec: ThetaSpec, policy: TruncationPolicy = TruncationPolicy()) -
             tail = tail_at(R)
         t = np.array([float(o) for o in spec.offset]) + spec.b
         try:
-            m = _enumerate_shifts(rt.chol_u, t, R, policy.max_points)
+            m = _enumerate_budgeted(rt, t, R, policy.max_points)
         except _CountExceeded:
-            m, R_fit = _largest_feasible(rt.chol_u, t, R, policy.max_points)
+            m, R_fit = _largest_feasible(rt, t, R, policy.max_points)
             value, hits = _assemble_value(spec, m, rt)
             tail_fit = tail_at(R_fit)
             partial = ThetaValue(value=value, n_points=m.shape[0],
@@ -575,15 +560,41 @@ def eval_theta(spec: ThetaSpec, policy: TruncationPolicy = TruncationPolicy()) -
     return _eval_theta_user(spec, policy)
 
 
-def _largest_feasible(U, t, R, max_points):
+def _log_count_floor(rt: _PairRuntime, R: float) -> float:
+    """Log of a lower bound on the number of points enumerated at radius R.
+
+    The cells U [-1/2, 1/2]^n around the lattice points tile space and reach
+    at most cell_d from their centres, so the cells of the points within R
+    cover the ball of radius R - cell_d: there are at least
+    vol(B_n(R - cell_d)) / covol of them. R is first shrunk by 1e-9, below
+    any point the float enumeration could drop at the boundary; logs keep
+    every radius finite.
+    """
+    reach = R * (1.0 - 1e-9) - rt.cell_d
+    if reach <= 0.0:
+        return -math.inf
+    n = rt.n
+    return (n * math.log(reach) + 0.5 * n * math.log(math.pi)
+            - math.lgamma(0.5 * n + 1.0) - math.log(rt.covol))
+
+
+def _enumerate_budgeted(rt: _PairRuntime, t: np.ndarray, R: float, max_points: int):
+    """_enumerate_shifts in the pair's frame; raises _CountExceeded without
+    enumerating where the count floor already exceeds max_points."""
+    if _log_count_floor(rt, R) > math.log(max_points) + 1e-9:
+        raise _CountExceeded
+    return _enumerate_shifts(rt.chol_u, t, R, max_points)
+
+
+def _largest_feasible(rt: _PairRuntime, t, R, max_points):
     R = min(R, sys.float_info.max)  # halving inf would never end
     while R > 1.0:
         R /= 2.0
         try:
-            return _enumerate_shifts(U, t, R, max_points), R
+            return _enumerate_budgeted(rt, t, R, max_points), R
         except _CountExceeded:
             continue
-    return np.zeros((0, U.shape[0]), dtype=np.int64), 0.0
+    return np.zeros((0, rt.n), dtype=np.int64), 0.0
 
 
 def _eval_theta_user(spec: ThetaSpec, policy: TruncationPolicy) -> ThetaValue:
@@ -616,6 +627,26 @@ def _eval_theta_user(spec: ThetaSpec, policy: TruncationPolicy) -> ThetaValue:
                       wall_hits=[])
 
 
+# n^2 max|coefficient| max|K|^2 below this bound keeps every product and
+# partial sum of q_expansion's integer frame inside int64; at or above it
+# the same arrays hold Python ints (dtype object).
+_INT64_BOUND = 1 << 62
+
+
+def _integer_vector(v) -> list:
+    """v times the lcm of its denominators: a positive multiple, so every
+    sign and every order it takes part in is unchanged."""
+    scale = math.lcm(*(x.denominator for x in v))
+    return [int(x * scale) for x in v]
+
+
+def _frame_dtype(n: int, coef: int, size: int):
+    """int64 when n^2 coef size^2 < _INT64_BOUND, which bounds every dot
+    product and quadratic form of entries <= size against coefficients
+    <= coef; object (exact Python ints) otherwise."""
+    return np.int64 if n * n * coef * size * size < _INT64_BOUND else object
+
+
 def q_expansion(spec: ThetaSpec, n_terms: int,
                 policy: TruncationPolicy = TruncationPolicy()) -> QExpansion:
     """Exact q-expansion of the holomorphic theta: groups support points by
@@ -627,6 +658,21 @@ def q_expansion(spec: ThetaSpec, n_terms: int,
     Completeness: on the support P_+(k) <= -Q(k)/gamma, so every class with
     exponent <= gamma R^2 / 2 is provably complete inside radius R; R
     doubles until n_terms complete classes exist.
+
+    All points of a radius are handled at once in an integer frame. With D
+    the lcm of the denominators of offset = mu + p/2, each point k = m +
+    offset becomes K = D m + D offset; each cone vector is scaled by the lcm
+    of its own denominators, and Q_- by L, the lcm of its entries'
+    denominators. These scales are positive, so the signs of B(c_j, K) and
+    B(c'_j, K) are those of B(c_j, k) and B(c'_j, k), 2^r phi_r(k) is the
+    product of their differences, Q(K) = D^2 Q(k), and the certificate
+    Q(k) <= Q_-(k) is checked exactly on every support point as
+    L Q(K) <= (L Q_-)(K). Classes are keyed by the integer Q(K) and summed
+    with np.add.at; a Fraction is built only for the returned terms. The
+    arrays are int64 when n^2 max|coefficient| max(|K|, |m|)^2 < 2^62
+    (coefficients: the entries of L A, L Q_-, A C, A C' and A p), which
+    bounds every sum they go through, and Python ints (dtype object)
+    otherwise; both run the same code.
     """
     if spec.kernel != "holomorphic":
         raise ValidationError("q-expansion requires the holomorphic kernel")
@@ -635,55 +681,72 @@ def q_expansion(spec: ThetaSpec, n_terms: int,
     if n_terms < 1:
         raise ValidationError("n_terms must be positive")
     rt = _pair_runtime(spec.pair)
-    Aex = [list(r) for r in spec.form.exact()]
+    n, r = spec.form.n, spec.pair.r
     off = spec.offset
+    D = math.lcm(*(o.denominator for o in off))
+    k_off = [int(o * D) for o in off]
+    q_minus = rt.report.q_minus
+    L = math.lcm(*(x.denominator for row in q_minus for x in row))
+    A = np.array(spec.form.rows, dtype=object)
+    C = np.array([_integer_vector(c) for c in spec.pair.C], dtype=object).reshape(r, n).T
+    Cp = np.array([_integer_vector(c) for c in spec.pair.C_prime],
+                  dtype=object).reshape(r, n).T
+    # A, L Q_-, A C, A C', A p; the coefficient bound also covers L A, for L Q(K)
+    frame = [A, np.array([[int(x * L) for x in row] for row in q_minus], dtype=object),
+             A @ C, A @ Cp, A @ np.array(spec.p, dtype=object)]
+    coef = max([L * max(abs(a) for row in spec.form.rows for a in row)]
+               + [abs(int(x)) for F in frame for x in F.flat])
     gamma_lb = rt.gamma_holo * (1.0 - 1e-9)
     R = max(3.0, 2.0 * rt.cell_d + 0.5)
     t = np.array([float(o) for o in off])
     while True:
         try:
-            m = _enumerate_shifts(rt.chol_u, t, R, policy.max_points)
+            m = _enumerate_budgeted(rt, t, R, policy.max_points)
         except _CountExceeded:
             raise BudgetExceeded(
                 f"q-expansion enumeration at radius {R:.3g} exceeds max_points",
                 partial=None)
-        qm_ex = [list(r) for r in rt.report.q_minus]
-        classes: dict = {}
-        for row in m:
-            k = [Fraction(int(row[i])) + off[i] for i in range(spec.form.n)]
-            phi, hit = kernel_phi_signs(spec.pair, k)
-            if phi == 0 and not hit:
-                continue
-            Ak = ra.mat_vec(Aex, k)
-            if phi != 0:
-                # exact support certificate: Q(k) <= Q_-(k)
-                qk = ra.dot(k, Ak)
-                qmk = ra.dot(k, ra.mat_vec(qm_ex, k))
-                if qk > qmk:
-                    raise ValidationError(
-                        f"support point {tuple(k)} violates Q <= Q_- exactly")
-            expo = -ra.dot(k, Ak) / 2
-            bmp = sum(int(row[i]) * spec.p[j] * Aex[i][j]
-                      for i in range(spec.form.n) for j in range(spec.form.n))
-            contrib = phi if bmp % 2 == 0 else -phi
-            cur = classes.get(expo)
-            if cur is None:
-                classes[expo] = [contrib, hit]
-            else:
-                cur[0] += contrib
-                cur[1] = cur[1] or hit
+        size = D * int(np.abs(m).max(initial=0)) + max(abs(x) for x in k_off)
+        dtype = _frame_dtype(n, coef, max(size, 1))
+        Af, LQm, AC, ACp, Ap = (F.astype(dtype) for F in frame)
+        M = m.astype(dtype)
+        K = M * D + np.array(k_off, dtype=dtype)
+        s1, s2 = K @ AC, K @ ACp
+        f = ((s1 > 0).astype(np.int64) - (s1 < 0)) - ((s2 > 0).astype(np.int64) - (s2 < 0))
+        # the sign product stops at its first zero factor: a vanishing sign
+        # argument counts as a wall hit only up to that factor
+        reached = np.ones(f.shape, dtype=bool)
+        reached[:, 1:] = np.logical_and.accumulate(f != 0, axis=1)[:, :-1]
+        hit = (reached & ((s1 == 0) | (s2 == 0))).any(axis=1)
+        phi = f.prod(axis=1)  # 2^r phi_r(k)
+        keep = (phi != 0) | hit
+        K, M, phi, hit = K[keep], M[keep], phi[keep], hit[keep]
+        q = ((K @ Af) * K).sum(axis=1)  # D^2 Q(k)
+        sup = phi != 0
+        bad = L * q[sup] > ((K[sup] @ LQm) * K[sup]).sum(axis=1)
+        if bad.any():
+            k = tuple(Fraction(int(x)) + o for x, o in zip(M[sup][np.argmax(bad)], off))
+            raise ValidationError(f"support point {k} violates Q <= Q_- exactly")
+        contrib = np.where((M @ Ap) % 2 == 0, phi, -phi)
+        classes, inv = np.unique(q, return_inverse=True)
+        sums = np.zeros(len(classes), dtype=np.int64)
+        np.add.at(sums, inv, contrib)
+        flags = np.zeros(len(classes), dtype=bool)
+        np.logical_or.at(flags, inv, hit)
+        # exponents -q / 2D^2 ascend as q descends
+        first = np.arange(len(classes))[::-1][:n_terms]
+        exponents = [Fraction(-int(classes[i]), 2 * D * D) for i in first]
         complete_cut = Fraction(gamma_lb * R * R / 2.0).limit_denominator(10 ** 12)
-        complete = sorted(e for e in classes if e <= complete_cut)
-        if len(complete) >= n_terms:
-            complete = complete[:n_terms]
+        if len(exponents) == n_terms and exponents[-1] <= complete_cut:
             break
         R *= 2.0
-    terms = tuple(QTerm(exponent=e, coefficient=classes[e][0], wall_affected=classes[e][1])
-                  for e in complete)
+    terms = tuple(QTerm(exponent=e, coefficient=Fraction(int(sums[i]), 2 ** r),
+                        wall_affected=bool(flags[i]))
+                  for e, i in zip(exponents, first))
+    Aex = spec.form.exact()
     mu_p = sum(Fraction(spec.p[i]) * ra.dot([Fraction(a) for a in Aex[i]], list(spec.mu))
-               for i in range(spec.form.n))
-    qp = sum(Fraction(spec.p[i]) * Aex[i][j] * spec.p[j]
-             for i in range(spec.form.n) for j in range(spec.form.n))
+               for i in range(n))
+    qp = sum(Fraction(spec.p[i]) * Aex[i][j] * spec.p[j] for i in range(n) for j in range(n))
     phase = (mu_p + Fraction(qp, 2)) % 2
     return QExpansion(terms=terms, phase_exponent=phase, n_points=int(m.shape[0]),
                       radius=R)

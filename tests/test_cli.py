@@ -179,6 +179,34 @@ def test_theta_qexp_document(capsys, tmp_path):
                                "wall_affected": False}
 
 
+# the document of the exact Fraction loop, byte for byte
+D12_QEXP_8 = (
+    '{"command": "theta", "mode": "qexp", "partial": false, "phase_exponent": '
+    '{"num": "1", "den": "2"}, "n_points": 324, "radius": 12, "terms": ['
+    '{"exponent": {"num": "7", "den": "8"}, "coefficient": {"num": "2", "den": "1"}, '
+    '"wall_affected": false}, '
+    '{"exponent": {"num": "23", "den": "8"}, "coefficient": {"num": "-2", "den": "1"}, '
+    '"wall_affected": false}, '
+    '{"exponent": {"num": "31", "den": "8"}, "coefficient": {"num": "2", "den": "1"}, '
+    '"wall_affected": false}, '
+    '{"exponent": {"num": "47", "den": "8"}, "coefficient": {"num": "2", "den": "1"}, '
+    '"wall_affected": false}, '
+    '{"exponent": {"num": "63", "den": "8"}, "coefficient": {"num": "-2", "den": "1"}, '
+    '"wall_affected": false}, '
+    '{"exponent": {"num": "71", "den": "8"}, "coefficient": {"num": "2", "den": "1"}, '
+    '"wall_affected": false}, '
+    '{"exponent": {"num": "79", "den": "8"}, "coefficient": {"num": "-2", "den": "1"}, '
+    '"wall_affected": false}, '
+    '{"exponent": {"num": "103", "den": "8"}, "coefficient": {"num": "2", "den": "1"}, '
+    '"wall_affected": false}]}\n')
+
+
+def test_theta_qexp_document_golden(capsys, tmp_path):
+    cfg = write_config(tmp_path, "d12.json", D12_THETA)
+    assert main(["theta", "--config", cfg, "--mode", "qexp", "--terms", "8"]) == 0
+    assert capsys.readouterr().out == D12_QEXP_8
+
+
 def test_theta_qexp_stable_under_tighter_tol(capsys, tmp_path):
     cfg = write_config(tmp_path, "d12.json", D12_THETA)
     _, doc1, _ = run_cli(capsys, "theta", "--config", cfg, "--mode", "qexp",
@@ -192,6 +220,19 @@ def test_theta_qexp_requires_terms(capsys, tmp_path):
     cfg = write_config(tmp_path, "d12.json", D12_THETA)
     code, doc, _ = run_cli(capsys, "theta", "--config", cfg, "--mode", "qexp")
     assert code == 3
+
+
+def test_quadrature_grid_over_cap_exits_3(capsys, tmp_path):
+    # 5000^2 nodes at rank 2 is over the 64^4 cap; refused before any node
+    code, doc, _ = run_cli(capsys, "errfn", "--kind", "M", "--frame", "I2",
+                           "--u", "0.3,0.4", "--nodes", "5000")
+    assert code == 3
+    assert doc["error"]["type"] == "ValidationError"
+    doc_in = dict(HYP_THETA, quadrature={"nodes_per_axis": 10 ** 9})
+    code, doc, _ = run_cli(capsys, "theta", "--config",
+                           write_config(tmp_path, "big_quad.json", doc_in))
+    assert code == 3
+    assert doc["error"]["type"] == "ValidationError"
 
 
 def test_theta_budget_exit(capsys, tmp_path):

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf, erfc
 
-from thetaforge.errfn import (ErrFnArgument, QuadratureSpec, bound_check,
+from thetaforge import errfn
+from thetaforge.errfn import (MAX_GRID_POINTS, ErrFnArgument, QuadratureSpec, bound_check,
                               decompose_M_into_E, derivative_E, derivative_M,
                               discontinuity_limit, eval_E, eval_E_oracle_mc,
                               eval_M, eval_M_contour, shadow, vigneras_residual,
                               wall_distances)
-from thetaforge.exceptions import RankTooLarge, WallTooClose
+from thetaforge.exceptions import RankTooLarge, ValidationError, WallTooClose
 from thetaforge.quadform import ErrorFunctionFrame
 
 SQPI = math.sqrt(math.pi)
@@ -222,3 +223,24 @@ def test_m_bound_property(u1, u2):
     u = np.array([u1, u2])
     v = eval_M(arg(np.eye(2), u))
     assert abs(v.value) <= 2.0 * math.exp(-math.pi * float(u @ u)) + v.est_error + 1e-15
+
+
+def test_quadrature_grid_cap_boundary():
+    assert MAX_GRID_POINTS == 64 ** 4
+    for nodes, r in ((64, 4), (4096, 2), (256, 3)):
+        QuadratureSpec(nodes_per_axis=nodes).check_grid(r)
+        with pytest.raises(ValidationError):
+            QuadratureSpec(nodes_per_axis=nodes + 1).check_grid(r)
+
+
+def test_quadrature_grid_cap_refuses_before_any_node(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("a quadrature rule was built")
+
+    for name in ("_leggauss", "_hermgauss", "_tensor_grid"):
+        monkeypatch.setattr(errfn, name, no_rule)
+    a = arg([[1.0, 0.3], [0.2, 1.1]], [0.4, -0.7])
+    for evaluate, scheme in ((eval_M, "orthant-gl"), (eval_E, "orthant-gl"),
+                             (eval_M_contour, "contour-gh")):
+        with pytest.raises(ValidationError, match="over the cap"):
+            evaluate(a, QuadratureSpec(nodes_per_axis=10 ** 9, scheme=scheme))

@@ -8,13 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thetaforge import theta
 from thetaforge.cones import ConePair
 from thetaforge.exceptions import BudgetExceeded, ValidationError
 from thetaforge.quadform import BilinearForm
-from thetaforge.theta import (QExpansion, ThetaSpec, TruncationPolicy, _CountExceeded,
-                              _enumerate_shifts, _pair_runtime, discriminant_group,
-                              enumerate_lattice, eval_theta, kernel_phi, kernel_phi_hat,
-                              q_expansion)
+from thetaforge.theta import (QExpansion, QTerm, ThetaSpec, TruncationPolicy, _CountExceeded,
+                              _enumerate_shifts, _log_count_floor, _pair_runtime,
+                              discriminant_group, enumerate_lattice, eval_theta, kernel_phi,
+                              kernel_phi_hat, q_expansion)
 
 HYP = BilinearForm.from_rows([[0, 1], [1, 0]])
 D22 = BilinearForm.from_rows([[2, 0], [0, -2]])
@@ -171,6 +172,7 @@ def recursive_shifts(U, t, radius, max_points):
 
 PRODUCT = BilinearForm.from_rows([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, -2]])
 A2 = BilinearForm.from_rows([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+D12_HYP = BilinearForm.from_rows([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 def oracle_pairs(a4_pair):
@@ -253,6 +255,36 @@ def test_tiny_imaginary_tau_ends_in_budget():
     assert partial is not None
     assert 0 < partial.n_points <= 1000
     assert not math.isnan(partial.tail_estimate)
+
+
+def test_count_floor_is_a_lower_bound(a4_pair):
+    rng = np.random.default_rng(7)
+    for name, pair, radii in oracle_pairs(a4_pair):
+        rt = _pair_runtime(pair)
+        for radius in radii + (2.0 * radii[-1],):
+            t = rng.uniform(-1.0, 1.0, pair.n)
+            count = _enumerate_shifts(rt.chol_u, t, radius, 10 ** 7).shape[0]
+            assert math.exp(_log_count_floor(rt, radius)) <= count, (name, radius)
+
+
+def test_budget_overrun_skips_radii_that_cannot_fit(a4_pair, monkeypatch):
+    # A4 at tau = 2i: the tail bound asks for R = 41.6, and the count floor
+    # rules out 41.6, 20.8 and 10.4 at max_points = 1e5 without enumerating
+    spec = ThetaSpec(form=a4_pair.form, mu=(0,) * 8, p=(0,) * 8, b=np.zeros(8),
+                     c_ell=np.zeros(8), tau=2j, kernel="holomorphic", pair=a4_pair)
+    radii = []
+    real = theta._enumerate_shifts
+
+    def spy(U, t, radius, max_points):
+        radii.append(radius)
+        return real(U, t, radius, max_points)
+
+    monkeypatch.setattr(theta, "_enumerate_shifts", spy)
+    with pytest.raises(BudgetExceeded) as exc_info:
+        eval_theta(spec, TruncationPolicy(tol=1e-2, max_points=100_000))
+    assert len(radii) == 2
+    assert radii[1] == radii[0] / 2.0
+    assert exc_info.value.partial.n_points == 8569
 
 
 def test_discriminant_group_d22():
@@ -342,6 +374,144 @@ def test_qexp_wall_classes_flagged():
         assert flags[Fraction(e)] is False, e
     # this class is even under k -> -k, so the odd kernel cancels every term
     assert all(t.coefficient == 0 for t in qe.terms)
+
+
+def fraction_q_expansion(spec: ThetaSpec, n_terms: int):
+    """Reference q-expansion: one point at a time in Fraction arithmetic.
+    The sign product stops at its first zero factor, and a vanishing sign
+    argument up to there flags a wall hit; Q <= Q_- is checked on each
+    support point. Same radius rule as q_expansion, so (terms, n_points,
+    radius) must agree exactly."""
+    rt = _pair_runtime(spec.pair)
+    A = spec.form.exact()
+    q_minus = rt.report.q_minus
+    off = spec.offset
+    gamma_lb = rt.gamma_holo * (1.0 - 1e-9)
+    R = max(3.0, 2.0 * rt.cell_d + 0.5)
+    t = np.array([float(o) for o in off])
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    while True:
+        m = _enumerate_shifts(rt.chol_u, t, R, 10 ** 7)
+        classes = {}
+        for row in m:
+            k = [Fraction(int(x)) + o for x, o in zip(row, off)]
+            Ak = [dot(Ai, k) for Ai in A]
+            phi, hit = Fraction(1), False
+            for c, cp in zip(spec.pair.C, spec.pair.C_prime):
+                s1, s2 = dot(c, Ak), dot(cp, Ak)
+                hit = hit or s1 == 0 or s2 == 0
+                f = sign(s1) - sign(s2)
+                if f == 0:
+                    phi = Fraction(0)
+                    break
+                phi *= Fraction(f, 2)
+            if phi == 0 and not hit:
+                continue
+            qk = dot(k, Ak)
+            if phi != 0 and qk > dot(k, [dot(row_q, k) for row_q in q_minus]):
+                raise ValidationError(f"support point {tuple(k)} violates Q <= Q_- exactly")
+            bmp = sum(int(row[i]) * spec.p[j] * A[i][j]
+                      for i in range(spec.form.n) for j in range(spec.form.n))
+            cur = classes.setdefault(-qk / 2, [Fraction(0), False])
+            cur[0] += phi if bmp % 2 == 0 else -phi
+            cur[1] = cur[1] or hit
+        cut = Fraction(gamma_lb * R * R / 2.0).limit_denominator(10 ** 12)
+        complete = sorted(e for e in classes if e <= cut)
+        if len(complete) >= n_terms:
+            break
+        R *= 2.0
+    terms = tuple(QTerm(exponent=e, coefficient=classes[e][0], wall_affected=classes[e][1])
+                  for e in complete[:n_terms])
+    return terms, m.shape[0], R
+
+
+def qexp_spec(name: str) -> ThetaSpec:
+    d11 = BilinearForm.from_rows([[1, 0], [0, -1]])
+    pairs = {
+        "d12": (D12, d12_pair(), (0, 0), (1, 0)),
+        # offset denominators: k = m + (1/2, 0)
+        "d22_half": (D22, d22_pair(), (Fraction(1, 2), 0), (0, 0)),
+        "d11": (d11, ConePair.from_matrices([[1], [0]], [[2], [1]], d11), (0, 0), (1, 1)),
+        "hyp": (HYP, hyp_pair(), (0, 0), (0, 0)),
+        "product": (PRODUCT, ConePair.from_matrices(
+            [[1, 0], [0, 0], [0, 1], [0, 0]], [[2, 0], [1, 0], [0, 2], [0, 1]], PRODUCT),
+            (0,) * 4, (1, 0, 1, 0)),
+        "a2": (A2, ConePair.from_matrices([[1, 0], [0, 1], [0, 0], [0, 0]],
+                                          [[1, 0], [0, 1], [0, -1], [-1, 0]], A2),
+               (0,) * 4, (0,) * 4),
+        # walls only in the second factor: behind a zero first factor they
+        # are no hit, and the point leaves no class
+        "d12_hyp": (D12_HYP, ConePair.from_matrices(
+            [[1, 0], [0, 0], [0, 1], [0, 1]], [[2, 0], [1, 0], [0, 2], [0, 1]], D12_HYP),
+            (0,) * 4, (1, 0, 0, 0)),
+    }
+    form, pair, mu, p = pairs[name]
+    return ThetaSpec(form=form, mu=mu, p=p, b=np.zeros(form.n), c_ell=np.zeros(form.n),
+                     tau=1j, kernel="holomorphic", pair=pair)
+
+
+@pytest.mark.parametrize("name, n_terms", [
+    ("d12", 20), ("d22_half", 20), ("d11", 20), ("hyp", 12), ("product", 4), ("a2", 6),
+    ("d12_hyp", 6)])
+def test_qexp_matches_fraction_oracle(name, n_terms):
+    spec = qexp_spec(name)
+    qe = q_expansion(spec, n_terms)
+    terms, n_points, radius = fraction_q_expansion(spec, n_terms)
+    assert repr(qe.terms) == repr(terms)
+    assert (qe.n_points, qe.radius) == (n_points, radius)
+    if name in ("hyp", "d12_hyp"):
+        assert any(t.wall_affected for t in qe.terms)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 8), Fraction(1, 10 ** 30)])
+def test_qexp_support_check_is_exact(monkeypatch, eps):
+    # Q_- = A - eps I sits below Q on every nonzero k, by as little as
+    # 1e-30 |k|^2, which no float comparison resolves
+    spec = qexp_spec("d12")
+    report = _pair_runtime(spec.pair).report
+    n = spec.form.n
+    monkeypatch.setattr(report, "q_minus", tuple(
+        tuple(Fraction(spec.form.rows[i][j]) - (eps if i == j else 0) for j in range(n))
+        for i in range(n)))
+    with pytest.raises(ValidationError, match="violates Q <= Q_- exactly"):
+        q_expansion(spec, 4)
+
+
+def test_qexp_support_check_allows_equality(monkeypatch):
+    spec = qexp_spec("d12")
+    want = q_expansion(spec, 8)
+    report = _pair_runtime(spec.pair).report
+    monkeypatch.setattr(report, "q_minus", tuple(
+        tuple(Fraction(x) for x in row) for row in spec.form.rows))
+    assert q_expansion(spec, 8) == want
+
+
+def test_qexp_object_dtype_matches_int64(monkeypatch):
+    chosen = []
+    real = theta._frame_dtype
+
+    def spy(*args):
+        chosen.append(real(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(theta, "_frame_dtype", spy)
+    for name, n_terms in (("d22_half", 12), ("hyp", 9), ("product", 4)):
+        spec = qexp_spec(name)
+        want = q_expansion(spec, n_terms)
+        assert set(chosen) == {np.int64}
+        chosen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(theta, "_INT64_BOUND", 0)
+            got = q_expansion(spec, n_terms)
+        assert set(chosen) == {object}
+        chosen.clear()
+        assert got == want and repr(got) == repr(want)
 
 
 def test_qexp_requires_zero_elliptic_variables():
