@@ -129,6 +129,8 @@ class BoostedArgument:
         object.__setattr__(self, "x", x)
         if x.shape != (self.cone.n,):
             raise ValueError(f"x has shape {x.shape}, form dimension is {self.cone.n}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"x must be finite, got {x}")
         if self.wall_eps is None:
             object.__setattr__(self, "wall_eps", max(1e-9 * float(np.linalg.norm(x)), 1e-12))
 

@@ -78,13 +78,19 @@ def _int_matrix(node, where: str) -> list:
     return node
 
 
+def _number(cast, node, where: str):
+    """cast(node) for cast float or int; a JSON value of the wrong type, or
+    a float that no int can hold, is a ValidationError."""
+    try:
+        return cast(node)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where} must be a number, got {node!r}") from None
+
+
 def _float_vector(node, n: int, where: str) -> np.ndarray:
     if not isinstance(node, list) or len(node) != n:
         raise ValidationError(f"{where} must be a list of {n} numbers")
-    try:
-        return np.array([float(x) for x in node])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where} entries must be numbers") from None
+    return np.array([_number(float, x, f"{where} entry") for x in node])
 
 
 def _vectors_to_rows(vectors, n: int, where: str) -> list:
@@ -101,18 +107,16 @@ def _vectors_to_rows(vectors, n: int, where: str) -> list:
 
 @dataclass(frozen=True)
 class JobConfig:
-    """Validated config file: form, cone pair, theta request, policies."""
+    """Validated config file: form, cone pair, theta request, policy."""
 
     form: BilinearForm | None
     pair: ConePair | None
     theta: ThetaSpec | None
     policy: TruncationPolicy
-    quadrature: QuadratureSpec
 
     @classmethod
     def from_document(cls, doc: dict) -> "JobConfig":
-        _require_keys(doc, {"bilinear_form", "cone_pair", "theta", "policy",
-                            "quadrature"}, "config")
+        _require_keys(doc, {"bilinear_form", "cone_pair", "theta", "policy"}, "config")
         form = None
         if "bilinear_form" in doc:
             form = BilinearForm.from_rows(_int_matrix(doc["bilinear_form"],
@@ -138,24 +142,10 @@ class JobConfig:
             if not isinstance(sec, dict):
                 raise ValidationError("policy must be an object")
             _require_keys(sec, {"tol", "max_points", "initial_radius"}, "policy")
-            if "tol" in sec:
-                policy_kwargs["tol"] = float(sec["tol"])
-            if "max_points" in sec:
-                policy_kwargs["max_points"] = int(sec["max_points"])
-            if "initial_radius" in sec:
-                policy_kwargs["initial_radius"] = float(sec["initial_radius"])
+            for key, cast in (("tol", float), ("max_points", int), ("initial_radius", float)):
+                if key in sec:
+                    policy_kwargs[key] = _number(cast, sec[key], f"policy.{key}")
         policy = TruncationPolicy(**policy_kwargs)
-
-        quad = DEFAULT_QUAD
-        if "quadrature" in doc:
-            sec = doc["quadrature"]
-            if not isinstance(sec, dict):
-                raise ValidationError("quadrature must be an object")
-            _require_keys(sec, {"nodes_per_axis"}, "quadrature")
-            if "nodes_per_axis" in sec:
-                quad = QuadratureSpec(nodes_per_axis=int(sec["nodes_per_axis"]))
-                # the completed kernel of a rank-r pair evaluates E_r
-                quad.check_grid(max(pair.r, 1) if pair is not None else 1)
 
         theta = None
         if "theta" in doc:
@@ -170,16 +160,15 @@ class JobConfig:
                 if key not in sec:
                     raise ValidationError(f"theta.{key} is required")
             n = form.n
+            if not isinstance(sec["mu"], list) or len(sec["mu"]) != n:
+                raise ValidationError(f"theta.mu must be a list of {n} exact rationals")
             mu = tuple(serialize.parse_exact(x) for x in sec["mu"])
             p_raw = sec["p"]
             if (not isinstance(p_raw, list) or len(p_raw) != n
                     or any(isinstance(x, bool) or not isinstance(x, int)
                            for x in p_raw)):
                 raise ValidationError(f"theta.p must be a list of {n} integers")
-            tau_raw = sec["tau"]
-            if not isinstance(tau_raw, list) or len(tau_raw) != 2:
-                raise ValidationError("theta.tau must be [re, im]")
-            tau = complex(float(tau_raw[0]), float(tau_raw[1]))
+            tau = complex(*_float_vector(sec["tau"], 2, "theta.tau"))
             b = _float_vector(sec["b"], n, "theta.b") if "b" in sec else np.zeros(n)
             c_ell = (_float_vector(sec["c_ell"], n, "theta.c_ell")
                      if "c_ell" in sec else np.zeros(n))
@@ -187,13 +176,15 @@ class JobConfig:
             if kernel not in ("holomorphic", "completed"):
                 raise ValidationError(
                     f'theta.kernel must be "holomorphic" or "completed", got {kernel!r}')
+            # the series' weight offset; both kernels are those of lambda = 0
             lam = sec.get("lambda", 0)
             if isinstance(lam, bool) or not isinstance(lam, int):
                 raise ValidationError("theta.lambda must be an integer")
+            if lam != 0:
+                raise ValidationError("built-in kernels have lambda = 0")
             theta = ThetaSpec(form=form, mu=mu, p=tuple(p_raw), b=b, c_ell=c_ell,
-                              tau=tau, lam=lam, kernel=kernel, pair=pair)
-        return cls(form=form, pair=pair, theta=theta, policy=policy,
-                   quadrature=quad)
+                              tau=tau, kernel=kernel, pair=pair)
+        return cls(form=form, pair=pair, theta=theta, policy=policy)
 
 
 def _parse_frame(text: str) -> ErrorFunctionFrame:

@@ -101,10 +101,6 @@ def _bil(A, x, y) -> Fraction:
     return ra.dot(ra.mat_vec(A, list(y)), list(x))
 
 
-def _gram_of(A, vectors):
-    return [[_bil(A, v, w) for w in vectors] for v in vectors]
-
-
 def _project_off(A, basis, basis_gram, v):
     """v minus its A-orthogonal projection onto span(basis)."""
     rhs = [_bil(A, b, v) for b in basis]
@@ -150,6 +146,18 @@ def _q_minus_matrix(A, delta, cofs, cs, cps):
             for j in range(n):
                 out[i][j] -= w * (Ac[i] * Acp[j] + Acp[i] * Ac[j])
     return out
+
+
+def _gram_system(A, cs, cps):
+    """Delta, the cofactor matrix, the D_{j,j'} and Q_- of the interleaved
+    family (c_1, c'_1, ..., c_r, c'_r); all but Delta are None when Delta = 0."""
+    gram = ra.gram(A, _interleave(cs, cps))
+    delta = ra.det(gram)
+    if delta == 0:
+        return delta, None, None, None
+    cof = ra.cofactor_matrix(gram)
+    cofs = tuple(cof[2 * j][2 * j + 1] for j in range(len(cs)))
+    return delta, cof, cofs, _q_minus_matrix(A, delta, cofs, cs, cps)
 
 
 def _complement_basis(A, chosen_vecs, n):
@@ -204,8 +212,8 @@ class _Checker:
 
         cs, cps, degenerate = [], [], False
         if chosen_vecs:
-            gram_ch = _gram_of(A, chosen_vecs)
-            if ra.det([row[:] for row in gram_ch]) == 0:
+            gram_ch = ra.gram(A, chosen_vecs)
+            if ra.det(gram_ch) == 0:
                 degenerate = True
             else:
                 for j in remaining:
@@ -229,20 +237,16 @@ class _Checker:
         for k in range(rp + 1):
             for P in combinations(range(rp), k):
                 vecs = [cps[j] if j in P else cs[j] for j in range(rp)]
-                flag = ra.is_positive_definite(_gram_of(A, vecs)) if vecs else True
+                flag = ra.is_positive_definite(ra.gram(A, vecs)) if vecs else True
                 per_P[P] = flag
                 ok_cp = ok_cp and flag
         conditions["cp_positive_definite"] = ok_cp
 
-        inter = _interleave(cs, cps)
-        gram = _gram_of(A, inter)
-        delta = ra.det([row[:] for row in gram])
+        delta, cof, cofs, q_mat = _gram_system(A, cs, cps)
         sign_r = -1 if rp % 2 else 1
         conditions["delta_sign"] = sign_r * delta > 0
 
         if delta != 0:
-            cof = ra.cofactor_matrix(gram)
-            cofs = tuple(cof[2 * j][2 * j + 1] for j in range(rp))
             conditions["cofactor_sign"] = all(sign_r * D >= 0 for D in cofs)
             M = _zeroed_cofactor_matrix(cof, rp)
             Msigned = M if sign_r == 1 else _negated(M)
@@ -268,12 +272,6 @@ class _Checker:
 
         q_minus = None
         q_inertia = None
-        if rp == 0:
-            q_mat = [row[:] for row in A]
-        elif delta != 0:
-            q_mat = _q_minus_matrix(A, delta, cofs, cs, cps)
-        else:
-            q_mat = None
         if q_mat is not None:
             basis = _complement_basis(A, chosen_vecs, self.n)
             if len(basis) != self.n - len(chosen_vecs):
@@ -309,14 +307,10 @@ def check_cone_pair(pair: ConePair) -> ConeSystemReport:
 def q_minus_form(pair: ConePair):
     """Exact matrix of Q_-; raises ZeroDelta when the Gram determinant is 0."""
     A = [list(row) for row in pair.form.exact()]
-    inter = _interleave(list(pair.C), list(pair.C_prime))
-    gram = _gram_of(A, inter)
-    delta = ra.det([row[:] for row in gram])
+    delta, _, _, q_mat = _gram_system(A, list(pair.C), list(pair.C_prime))
     if delta == 0:
         raise ZeroDelta("Gram determinant of (C, C') vanishes")
-    cof = ra.cofactor_matrix(gram)
-    cofs = tuple(cof[2 * j][2 * j + 1] for j in range(pair.r))
-    return tuple(tuple(row) for row in _q_minus_matrix(A, delta, cofs, list(pair.C), list(pair.C_prime)))
+    return tuple(tuple(row) for row in q_mat)
 
 
 def det_identity_residual(pair: ConePair, x) -> Fraction:
@@ -329,15 +323,10 @@ def det_identity_residual(pair: ConePair, x) -> Fraction:
     x = ra.fvector(x)
     A = [list(row) for row in pair.form.exact()]
     inter = _interleave(list(pair.C), list(pair.C_prime))
-    gram_big = _gram_of(A, [tuple(x)] + inter)
-    lhs = ra.det([row[:] for row in gram_big])
-    gram = _gram_of(A, inter)
-    delta = ra.det([row[:] for row in gram])
+    lhs = ra.det(ra.gram(A, [x] + inter))
+    delta, cof, _, qm = _gram_system(A, list(pair.C), list(pair.C_prime))
     if delta == 0:
         raise ZeroDelta("Gram determinant of (C, C') vanishes")
-    cof = ra.cofactor_matrix(gram)
-    cofs = tuple(cof[2 * j][2 * j + 1] for j in range(pair.r))
-    qm = _q_minus_matrix(A, delta, cofs, list(pair.C), list(pair.C_prime))
     q_minus_x = ra.dot(ra.mat_vec(qm, list(x)), list(x))
     M = _zeroed_cofactor_matrix(cof, pair.r)
     X = [_bil(A, v, x) for v in inter]

@@ -34,7 +34,7 @@ from scipy.special import erfcx
 from .exceptions import RankTooLarge, ValidationError, WallTooClose
 from .quadform import ErrorFunctionFrame, SubsetProjectors, subset_projectors
 
-HARD_RANK_CAP = 6
+MAX_RANK = 4
 # Most points nodes_per_axis ** r that a rank-r tensor rule may ask for: the
 # default 64 nodes at rank 4, the largest grid that the defaults, the verify
 # suite (320 nodes at rank 2) and the benchmark ask for.
@@ -48,21 +48,15 @@ class QuadratureSpec:
 
     nodes_per_axis: tensor rule size per axis (the error estimate reruns at
     half this); at rank r, nodes_per_axis ** r may not exceed
-    MAX_GRID_POINTS. scheme 'orthant-gl' is the production path;
-    'contour-gh' selects the contour-shifted Gauss-Hermite rule.
+    MAX_GRID_POINTS. The same spec serves the orthant rule of eval_M and
+    the contour-shifted Gauss-Hermite rule of eval_M_contour.
     """
 
     nodes_per_axis: int = 64
-    max_r_direct: int = 4
-    scheme: str = "orthant-gl"
 
     def __post_init__(self):
         if self.nodes_per_axis < 8:
             raise ValueError("nodes_per_axis must be at least 8")
-        if self.max_r_direct < 0:
-            raise ValueError("max_r_direct must be nonnegative")
-        if self.scheme not in ("orthant-gl", "contour-gh"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def check_grid(self, r: int) -> None:
         """Refuse a rank-r grid of more than MAX_GRID_POINTS points before
@@ -93,6 +87,8 @@ class ErrFnArgument:
         object.__setattr__(self, "u", u)
         if u.shape != (self.frame.r,):
             raise ValueError(f"u has shape {u.shape}, frame rank is {self.frame.r}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError(f"u must be finite, got {u}")
         if self.wall_eps is None:
             object.__setattr__(self, "wall_eps", max(1e-9 * float(np.linalg.norm(u)), 1e-12))
         elif self.wall_eps <= 0:
@@ -213,9 +209,8 @@ def _orthant_J(G: np.ndarray, b: np.ndarray, n: int) -> float:
 
 
 def _check_rank(r: int, quad: QuadratureSpec):
-    cap = min(quad.max_r_direct, HARD_RANK_CAP)
-    if r > cap:
-        raise RankTooLarge(f"rank {r} exceeds direct evaluation cap {cap}")
+    if r > MAX_RANK:
+        raise RankTooLarge(f"rank {r} exceeds direct evaluation cap {MAX_RANK}")
     quad.check_grid(r)
 
 
@@ -265,10 +260,7 @@ def eval_M(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValu
     past the direct cap. The orthant path is purely real, so imag_residual
     is 0; est_error compares full and half node counts.
     """
-    r = arg.frame.r
-    _check_rank(r, quad)
-    if quad.scheme == "contour-gh":
-        return eval_M_contour(arg, quad)
+    _check_rank(arg.frame.r, quad)
     value, est = _m_raw(arg.frame.m_mat, arg.u, arg.wall_eps, quad.nodes_per_axis)
     return ErrFnValue(value=value, imag_residual=0.0, est_error=est)
 

@@ -8,7 +8,7 @@ orthonormal row bases of span{m_j : j in S} and span{w_j : j in S}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,12 +66,6 @@ class BilinearForm:
 
     def quadratic(self, x) -> float:
         return self.bilinear(x, x)
-
-    def bilinear_exact(self, x, y) -> Fraction:
-        return ra.dot(x, ra.mat_vec(self.exact(), y))
-
-    def quadratic_exact(self, x) -> Fraction:
-        return self.bilinear_exact(x, x)
 
 
 def signature(form: BilinearForm) -> tuple[int, int]:
@@ -173,51 +167,3 @@ def subset_projectors(frame: ErrorFunctionFrame, S) -> SubsetProjectors:
     P = _mgs_rows([frame.w(j) for j in S])
     return SubsetProjectors(S=S, Q=Q, P=P)
 
-
-def relative_projector(frame: ErrorFunctionFrame, S, S_prime, kind: str = "Q") -> np.ndarray:
-    """Change-of-basis block Q_{S,S'} (or P_{S,S'}) for nested S within S'."""
-    a = subset_projectors(frame, S)
-    b = subset_projectors(frame, S_prime)
-    if kind == "Q":
-        return a.Q @ b.Q.T
-    if kind == "P":
-        return a.P @ b.P.T
-    raise ValueError("kind must be 'Q' or 'P'")
-
-
-def _all_exact(vectors) -> bool:
-    for v in vectors:
-        for x in v:
-            if not _is_exact_scalar(x) and not isinstance(x, Fraction):
-                return False
-    return True
-
-
-def gram_cofactors(form, vectors):
-    """Gram determinant and full cofactor matrix of a vector family.
-
-    vectors: sequence of length-n vectors. form: BilinearForm or None for the
-    standard inner product. All-exact input (int/Fraction entries) runs in
-    exact arithmetic and returns Fractions; otherwise floats.
-    """
-    vecs = [list(v) for v in vectors]
-    exact = _all_exact(vecs)
-    if exact:
-        fvecs = [ra.fvector(v) for v in vecs]
-        if form is None:
-            A = ra.identity(len(fvecs[0])) if fvecs else []
-        else:
-            A = form.exact()
-        G = ra.gram(A, fvecs)
-        return ra.det(G), ra.cofactor_matrix(G)
-    V = np.array(vecs, dtype=float)
-    Af = np.eye(V.shape[1]) if form is None else form.matrix()
-    G = V @ Af @ V.T
-    s = G.shape[0]
-    d = float(np.linalg.det(G))
-    cof = np.empty_like(G)
-    for i in range(s):
-        for j in range(s):
-            minor = np.delete(np.delete(G, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * (np.linalg.det(minor) if s > 1 else 1.0)
-    return d, cof

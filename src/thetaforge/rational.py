@@ -156,27 +156,14 @@ def inverse(A):
     return [row[n:] for row in M]
 
 
-def _minor(A, i, j):
-    return [[A[r][c] for c in range(len(A)) if c != j] for r in range(len(A)) if r != i]
-
-
-def cofactor(A, i, j) -> Fraction:
-    s = Fr(-1) if (i + j) % 2 else Fr(1)
-    return s * det(_minor(A, i, j))
-
-
 def cofactor_matrix(A):
-    """Matrix of cofactors C[i][j] = (-1)^(i+j) det(minor(i,j)).
-
-    For nonsingular A this is det(A) * inverse(A)^T, which is much cheaper
-    than 2n^2 minors; singular A falls back to minors.
-    """
+    """Matrix of cofactors C[i][j] = (-1)^(i+j) det(minor(i,j)) of a
+    nonsingular A, as det(A) * inverse(A)^T; singular A raises
+    ZeroDivisionError."""
     n = len(A)
     d = det(A)
-    if d != 0:
-        Ainv = inverse(A)
-        return [[d * Ainv[j][i] for j in range(n)] for i in range(n)]
-    return [[cofactor(A, i, j) for j in range(n)] for i in range(n)]
+    Ainv = inverse(A)
+    return [[d * Ainv[j][i] for j in range(n)] for i in range(n)]
 
 
 def inertia(S) -> tuple[int, int, int]:

@@ -1,8 +1,8 @@
 """Indefinite theta series with sign-cone and error-function kernels.
 
-theta_mu[phi, lambda](tau, b, c) = tau_2^{-lambda/2} sum over k in
-Lambda + mu + p/2 of e^{pi i B(k,p)} phi(sqrt(2 tau_2)(k+b)) q^{-Q(k+b)/2}
-e^{2 pi i B(c, k+b/2)}.
+theta_mu[phi](tau, b, c) = sum over k in Lambda + mu + p/2 of
+e^{pi i B(k,p)} phi(sqrt(2 tau_2)(k+b)) q^{-Q(k+b)/2} e^{2 pi i B(c, k+b/2)}.
+The weight offset lambda of the general series is 0 for both kernels.
 
 Kernels: the holomorphic sign-cone restriction
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -96,8 +97,8 @@ class QExpansion:
 class ThetaSpec:
     """Evaluation request: lattice Z^n with form A, class mu in Lambda*/Lambda,
     characteristic vector p, elliptic variables b and c_ell, tau in the upper
-    half plane, weight offset lam (0 for the built-in kernels), kernel
-    selector ('holomorphic' | 'completed' | callable), and the cone pair."""
+    half plane, kernel 'holomorphic' (phi_r) or 'completed' (phi_hat_r), and
+    the certified cone pair both kernels are built on."""
 
     form: BilinearForm
     mu: tuple
@@ -105,8 +106,7 @@ class ThetaSpec:
     b: np.ndarray
     c_ell: np.ndarray
     tau: complex
-    lam: int = 0
-    kernel: object = "holomorphic"
+    kernel: str = "holomorphic"
     pair: ConePair | None = None
 
     def __post_init__(self):
@@ -125,15 +125,12 @@ class ThetaSpec:
             raise ValidationError("b, c_ell and tau must be finite")
         if self.tau.imag <= 0:
             raise ValidationError("tau must lie in the upper half plane")
-        if isinstance(self.kernel, str) and self.kernel not in ("holomorphic", "completed"):
+        if self.kernel not in ("holomorphic", "completed"):
             raise ValidationError(f"unknown kernel {self.kernel!r}")
-        if isinstance(self.kernel, str):
-            if self.pair is None:
-                raise ValidationError("built-in kernels require a cone pair")
-            if self.lam != 0:
-                raise ValidationError("built-in kernels have lambda = 0")
-            if self.pair.r > 0 and self.pair.form.rows != self.form.rows:
-                raise ValidationError("cone pair and spec use different forms")
+        if self.pair is None:
+            raise ValidationError("both kernels require a cone pair")
+        if self.pair.r > 0 and self.pair.form.rows != self.form.rows:
+            raise ValidationError("cone pair and spec use different forms")
         A = self.form.exact()
         for i in range(n):
             amu = sum(A[i][j] * self.mu[j] for j in range(n))
@@ -222,10 +219,11 @@ def _majorant(A: np.ndarray):
 
 class _PairRuntime:
     """Float-side data derived from an exact cone certificate, cached per
-    pair: majorant frame, decay rates, and the 2^r completion cones."""
+    pair: majorant frame, decay rates, and the 2^r completion cones. It holds
+    no reference to the pair, so the weak cache entry dies with the pair."""
 
     def __init__(self, pair: ConePair, report: ConeSystemReport):
-        self.pair = pair
+        self.form = pair.form
         self.report = report
         A = pair.form.matrix()
         self.A = A
@@ -282,12 +280,13 @@ class _PairRuntime:
                 cols = np.column_stack(
                     [self.Cp[:, j] if j in P else self.C[:, j] for j in range(self.r)]) \
                     if self.r else np.zeros((self.n, 0))
-                cones[P] = build_cone(cols, self.pair.form)
+                cones[P] = build_cone(cols, self.form)
             self._p_cones = cones
         return self._p_cones
 
 
-_RUNTIME_CACHE: dict = {}
+# keyed by pair identity (ConePair is eq=False); an entry lives as long as its pair
+_RUNTIME_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _pair_runtime(pair: ConePair) -> _PairRuntime:
@@ -309,9 +308,14 @@ def kernel_phi_hat(pair: ConePair, x) -> float:
     xf = np.asarray(x, dtype=float)
     if rt.r == 1:
         return float(_phi_hat_r1(rt, xf.reshape(1, -1))[0])
+    return _phi_hat(rt, xf)
+
+
+def _phi_hat(rt: _PairRuntime, x: np.ndarray) -> float:
+    """The completed kernel at one point from the 2^r boosted E values."""
     total = 0.0
     for P, cone in rt.p_cones().items():
-        ev = eval_E_boosted(BoostedArgument(cone=cone, x=xf))
+        ev = eval_E_boosted(BoostedArgument(cone=cone, x=x))
         total += (-1.0) ** len(P) * ev.value
     return total / 2.0 ** rt.r
 
@@ -444,12 +448,8 @@ def enumerate_lattice(spec: ThetaSpec, radius: float, max_points: int = 10_000_0
     lexicographic order."""
     if not (math.isfinite(radius) and radius >= 0):
         raise ValidationError(f"radius must be finite and non-negative, got {radius}")
-    if isinstance(spec.kernel, str):
-        U = _pair_runtime(spec.pair).chol_u
-    else:
-        U = _majorant(spec.form.matrix())[1]
     t = np.array([float(o) for o in spec.offset]) + spec.b
-    return _enumerate_shifts(U, t, radius, max_points)
+    return _enumerate_shifts(_pair_runtime(spec.pair).chol_u, t, radius, max_points)
 
 
 def _holo_phi_vals(rt: _PairRuntime, Y: np.ndarray):
@@ -465,7 +465,7 @@ def _holo_phi_vals(rt: _PairRuntime, Y: np.ndarray):
     return vals, hits.any(axis=1)
 
 
-def _assemble_value(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime | None):
+def _assemble_value(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime):
     n = spec.form.n
     A = spec.form.matrix()
     offset = spec.offset
@@ -491,18 +491,14 @@ def _assemble_value(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime | None):
             if np.min(slack) < -1e-9 * max(1.0, float(np.max(np.abs(Qy[sup])))):
                 raise ValidationError(
                     "support point violates Q <= Q_-; certificate inconsistent")
-    elif spec.kernel == "completed":
+    else:
         X = math.sqrt(2.0 * tau.imag) * Y
         if rt.r == 1:
             phi = _phi_hat_r1(rt, X)
         else:
-            phi = np.array([kernel_phi_hat(rt.pair, X[i]) for i in range(X.shape[0])])
-    else:
-        X = math.sqrt(2.0 * tau.imag) * Y
-        phi = np.array([complex(spec.kernel(X[i])) for i in range(X.shape[0])])
+            phi = np.array([_phi_hat(rt, X[i]) for i in range(X.shape[0])])
     # combine kernel magnitude and q-power in log space: off-support points have
     # phi = 0 but arbitrarily positive Q(y), and exp alone would overflow
-    phi = np.asarray(phi)
     mag = np.abs(phi)
     sup = mag > 0.0
     terms = np.zeros(Y.shape[0], dtype=complex)
@@ -510,54 +506,48 @@ def _assemble_value(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime | None):
         z = (1j * math.pi * Bkp[sup] - 1j * math.pi * tau * Qy[sup]
              + 2j * math.pi * Bc[sup] + np.log(mag[sup]))
         terms[sup] = (phi[sup] / mag[sup]) * np.exp(z)
-    value = tau.imag ** (-spec.lam / 2.0) * _tree_sum(terms)
-    return value, wall_hits
+    return _tree_sum(terms), wall_hits
 
 
 def eval_theta(spec: ThetaSpec, policy: TruncationPolicy = TruncationPolicy()) -> ThetaValue:
     """Sums the series inside an ellipsoid P_+ <= R^2 with R doubled until
-    the analytic Gaussian tail bound (times safety factor 2) is below
-    policy.tol. User kernels get a heuristic Cauchy tail instead: R doubles
-    until the added shell contributes less than tol twice in a row.
+    the analytic Gaussian tail bound (times safety factor 2), which rests on
+    the pair's cone certificate, is below policy.tol.
 
     Raises BudgetExceeded carrying the best partial ThetaValue if the
     enumeration would exceed policy.max_points.
     """
-    tau2 = spec.tau.imag
-    if isinstance(spec.kernel, str):
-        rt = _pair_runtime(spec.pair)
-        gamma = rt.gamma_holo if spec.kernel == "holomorphic" else rt.gamma_hat
-        Kpre = 1.0 if spec.kernel == "holomorphic" else rt.K_hat
-        a = math.pi * tau2 * gamma
-        R = policy.initial_radius or max(3.0, 2.0 * rt.cell_d + 1.0)
-        R = max(R, 2.0 * rt.cell_d + 0.5)
-        lam_pre = tau2 ** (-spec.lam / 2.0)
+    rt = _pair_runtime(spec.pair)
+    gamma = rt.gamma_holo if spec.kernel == "holomorphic" else rt.gamma_hat
+    Kpre = 1.0 if spec.kernel == "holomorphic" else rt.K_hat
+    a = math.pi * spec.tau.imag * gamma
+    R = policy.initial_radius or max(3.0, 2.0 * rt.cell_d + 1.0)
+    R = max(R, 2.0 * rt.cell_d + 0.5)
 
-        def tail_at(radius):
-            return 2.0 * Kpre * lam_pre * _shell_tail(a, radius, rt.cell_d, rt.n, rt.covol)
+    def tail_at(radius):
+        return 2.0 * Kpre * _shell_tail(a, radius, rt.cell_d, rt.n, rt.covol)
 
-        # a tiny tau_2 can keep the bound above tol up to R = inf, which no
-        # budget reaches; the enumeration below then reports the overrun
+    # a tiny tau_2 can keep the bound above tol up to R = inf, which no
+    # budget reaches; the enumeration below then reports the overrun
+    tail = tail_at(R)
+    while tail > policy.tol and math.isfinite(R):
+        R *= 2.0
         tail = tail_at(R)
-        while tail > policy.tol and math.isfinite(R):
-            R *= 2.0
-            tail = tail_at(R)
-        t = np.array([float(o) for o in spec.offset]) + spec.b
-        try:
-            m = _enumerate_budgeted(rt, t, R, policy.max_points)
-        except _CountExceeded:
-            m, R_fit = _largest_feasible(rt, t, R, policy.max_points)
-            value, hits = _assemble_value(spec, m, rt)
-            tail_fit = tail_at(R_fit)
-            partial = ThetaValue(value=value, n_points=m.shape[0],
-                                 tail_estimate=tail_fit, wall_hits=hits)
-            raise BudgetExceeded(
-                f"enumeration at radius {R:.3g} exceeds max_points={policy.max_points}",
-                partial=partial)
+    t = np.array([float(o) for o in spec.offset]) + spec.b
+    try:
+        m = _enumerate_budgeted(rt, t, R, policy.max_points)
+    except _CountExceeded:
+        m, R_fit = _largest_feasible(rt, t, R, policy.max_points)
         value, hits = _assemble_value(spec, m, rt)
-        return ThetaValue(value=value, n_points=m.shape[0], tail_estimate=tail,
-                          wall_hits=hits)
-    return _eval_theta_user(spec, policy)
+        tail_fit = tail_at(R_fit)
+        partial = ThetaValue(value=value, n_points=m.shape[0],
+                             tail_estimate=tail_fit, wall_hits=hits)
+        raise BudgetExceeded(
+            f"enumeration at radius {R:.3g} exceeds max_points={policy.max_points}",
+            partial=partial)
+    value, hits = _assemble_value(spec, m, rt)
+    return ThetaValue(value=value, n_points=m.shape[0], tail_estimate=tail,
+                      wall_hits=hits)
 
 
 def _log_count_floor(rt: _PairRuntime, R: float) -> float:
@@ -595,36 +585,6 @@ def _largest_feasible(rt: _PairRuntime, t, R, max_points):
         except _CountExceeded:
             continue
     return np.zeros((0, rt.n), dtype=np.int64), 0.0
-
-
-def _eval_theta_user(spec: ThetaSpec, policy: TruncationPolicy) -> ThetaValue:
-    U = _majorant(spec.form.matrix())[1]
-    t = np.array([float(o) for o in spec.offset]) + spec.b
-    R = policy.initial_radius or 3.0
-    stable = 0
-    try:
-        m = _enumerate_shifts(U, t, R, policy.max_points)
-    except _CountExceeded:
-        raise BudgetExceeded(
-            f"user-kernel enumeration at radius {R:.3g} exceeds max_points", partial=None)
-    value, _ = _assemble_value(spec, m, None)
-    increment = math.inf
-    while stable < 2:
-        R *= 2.0
-        try:
-            m_new = _enumerate_shifts(U, t, R, policy.max_points)
-        except _CountExceeded:
-            raise BudgetExceeded(
-                f"user-kernel enumeration at radius {R:.3g} exceeds max_points",
-                partial=ThetaValue(value=value, n_points=m.shape[0],
-                                   tail_estimate=increment, wall_hits=[]))
-        m = m_new
-        new_value, _ = _assemble_value(spec, m, None)
-        increment = abs(new_value - value)
-        stable = stable + 1 if increment <= policy.tol else 0
-        value = new_value
-    return ThetaValue(value=value, n_points=m.shape[0], tail_estimate=increment,
-                      wall_hits=[])
 
 
 # n^2 max|coefficient| max|K|^2 below this bound keeps every product and

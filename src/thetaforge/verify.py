@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -243,7 +241,7 @@ def _check_orthant_vs_contour(rng, full):
             u = _generic_u(rng, frame)
         arg = ErrFnArgument(frame=frame, u=u)
         v1 = eval_M(arg)
-        v2 = eval_M_contour(arg, QuadratureSpec(nodes_per_axis=320, scheme="contour-gh"))
+        v2 = eval_M_contour(arg, QuadratureSpec(nodes_per_axis=320))
         worst = max(worst, abs(v1.value - v2.value))
     return worst, 1e-8, ""
 
@@ -602,9 +600,8 @@ def _qexp_pair() -> ConePair:
 
 
 def _check_theta_enum_box(rng, full):
-    spec = ThetaSpec(form=_HYP, mu=(0, 0), p=(0, 0), b=np.zeros(2), c_ell=np.zeros(2),
-                     tau=1j, kernel=lambda x: 1.0)
-    pts = enumerate_lattice(spec, 1.5)
+    # on the hyperbolic plane P_+ = I: the ball of radius 1.5 is the 3 x 3 box
+    pts = enumerate_lattice(_theta_spec(), 1.5)
     ok = sorted(map(tuple, pts)) == [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     return 0.0 if ok else 1.0, 0.0, f"{pts.shape[0]} points"
 
@@ -793,26 +790,17 @@ _FULL_ONLY = [
 
 
 def run_suite(level: str = "fast", seed: int = 0) -> list:
-    """Runs every check; deterministic for a fixed seed. Failures are
-    reports, not exceptions. THETA_FORGE_THREADS > 1 runs checks in a pool;
-    reports are ordered by name either way."""
+    """Runs every check in name order; deterministic for a fixed seed.
+    Failures are reports, not exceptions."""
     if level not in ("fast", "full"):
         raise ValidationError("level must be 'fast' or 'full'")
     full = level == "full"
     checks = list(_FAST_CHECKS) + (list(_FULL_ONLY) if full else [])
     checks.sort(key=lambda kv: kv[0])
-
-    def run_one(item):
-        name, fn = item
+    reports = []
+    for name, fn in checks:
         residual, tolerance, detail = fn(_rng_for(name, seed), full)
-        return CheckReport(name=name, inputs_digest=_digest(name, seed, level),
-                           residual=float(residual), tolerance=float(tolerance),
-                           passed=bool(residual <= tolerance), detail=detail)
-
-    threads = int(os.environ.get("THETA_FORGE_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(run_one, checks))
-    else:
-        reports = [run_one(item) for item in checks]
-    return sorted(reports, key=lambda rep: rep.name)
+        reports.append(CheckReport(name=name, inputs_digest=_digest(name, seed, level),
+                                   residual=float(residual), tolerance=float(tolerance),
+                                   passed=bool(residual <= tolerance), detail=detail))
+    return reports

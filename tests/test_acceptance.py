@@ -159,7 +159,7 @@ def test_criterion_03_decomposition_closure():
         _, total = decompose_M_into_E(arg)
         worst_a = max(worst_a, abs(total.value - eval_M(arg).value))
     assert worst_a <= 1e-7
-    quad = QuadratureSpec(nodes_per_axis=96, scheme="contour-gh")
+    quad = QuadratureSpec(nodes_per_axis=96)
     worst_b = 0.0
     for i in range(60):
         arg = _reciprocal_instance(rng, 1 + i % 3)

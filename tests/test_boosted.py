@@ -141,6 +141,12 @@ def test_large_argument_limit_is_sign_product():
     assert v.value == pytest.approx(sgn, abs=1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_point_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BoostedArgument(cone=build_cone(C22, A22), x=np.array([bad, 0.0, 1.0, 0.2]))
+
+
 def test_m_vanishes_at_large_argument():
     cone = build_cone(C22, A22)
     xb = np.array([40.0, -25.0, 1.0, 0.2])

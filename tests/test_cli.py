@@ -228,11 +228,44 @@ def test_quadrature_grid_over_cap_exits_3(capsys, tmp_path):
                            "--u", "0.3,0.4", "--nodes", "5000")
     assert code == 3
     assert doc["error"]["type"] == "ValidationError"
+    # the config has no quadrature section: the key is refused, not ignored
     doc_in = dict(HYP_THETA, quadrature={"nodes_per_axis": 10 ** 9})
     code, doc, _ = run_cli(capsys, "theta", "--config",
                            write_config(tmp_path, "big_quad.json", doc_in))
     assert code == 3
+    assert doc["error"] == {"type": "ValidationError",
+                            "message": "unknown keys in config: ['quadrature']"}
+
+
+@pytest.mark.parametrize("kind,u", [("M", "nan,0.5"), ("E", "nan,0.5"),
+                                    ("M", "inf,0.5"), ("E", "0.5,-inf")])
+def test_errfn_non_finite_u_exits_3(capsys, kind, u):
+    code, doc, _ = run_cli(capsys, "errfn", "--kind", kind, "--frame", "I2", "--u", u)
+    assert code == 3
+    assert "finite" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("policy", "tol", [1]), ("policy", "initial_radius", {}),
+    ("policy", "max_points", "1e400"), ("theta", "tau", [[0], 1.0]), ("theta", "mu", 5)])
+def test_config_value_of_wrong_type_exits_3(capsys, tmp_path, section, key, value):
+    doc_in = dict(HYP_THETA, **{section: dict(HYP_THETA[section], **{key: value})})
+    path = tmp_path / "wrong_type.json"
+    path.write_text(json.dumps(doc_in).replace('"1e400"', "1e400"))
+    code, doc, _ = run_cli(capsys, "theta", "--config", str(path))
+    assert code == 3
     assert doc["error"]["type"] == "ValidationError"
+    assert f"{section}.{key}" in doc["error"]["message"]
+
+
+def test_theta_lambda_must_be_zero(capsys, tmp_path):
+    for lam, expected in ((0, 0), (2, 3)):
+        doc_in = dict(HYP_THETA, theta=dict(HYP_THETA["theta"], **{"lambda": lam}))
+        code, doc, _ = run_cli(capsys, "theta", "--config",
+                               write_config(tmp_path, "lam.json", doc_in))
+        assert code == expected
+    assert doc["error"] == {"type": "ValidationError",
+                            "message": "built-in kernels have lambda = 0"}
 
 
 def test_theta_budget_exit(capsys, tmp_path):

@@ -74,7 +74,7 @@ def test_diagonal_frames_factorize():
 def test_orthant_and_contour_routes_agree():
     a = arg([[1.0, 0.3], [0.2, 1.1]], [0.8, 0.6])
     v_orth = eval_M(a)
-    v_gh = eval_M_contour(a, QuadratureSpec(nodes_per_axis=160, scheme="contour-gh"))
+    v_gh = eval_M_contour(a, QuadratureSpec(nodes_per_axis=160))
     assert v_orth.value == pytest.approx(v_gh.value, abs=1e-10)
     assert abs(v_gh.imag_residual) < 1e-10
 
@@ -99,8 +99,7 @@ def test_wall_refusal_and_distances():
 
 def test_rank_cap():
     with pytest.raises(RankTooLarge):
-        eval_M(arg(np.eye(7), np.full(7, 0.5)),
-               QuadratureSpec(nodes_per_axis=16, max_r_direct=4))
+        eval_M(arg(np.eye(7), np.full(7, 0.5)), QuadratureSpec(nodes_per_axis=16))
 
 
 def test_mc_oracle_matches_product_form():
@@ -240,7 +239,12 @@ def test_quadrature_grid_cap_refuses_before_any_node(monkeypatch):
     for name in ("_leggauss", "_hermgauss", "_tensor_grid"):
         monkeypatch.setattr(errfn, name, no_rule)
     a = arg([[1.0, 0.3], [0.2, 1.1]], [0.4, -0.7])
-    for evaluate, scheme in ((eval_M, "orthant-gl"), (eval_E, "orthant-gl"),
-                             (eval_M_contour, "contour-gh")):
+    for evaluate in (eval_M, eval_E, eval_M_contour):
         with pytest.raises(ValidationError, match="over the cap"):
-            evaluate(a, QuadratureSpec(nodes_per_axis=10 ** 9, scheme=scheme))
+            evaluate(a, QuadratureSpec(nodes_per_axis=10 ** 9))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        arg(np.eye(2), [bad, 0.5])

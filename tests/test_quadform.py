@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from thetaforge.exceptions import DegenerateForm, SingularFrame
 from thetaforge.quadform import (BilinearForm, ErrorFunctionFrame, dual_frame,
-                                 gram_cofactors, relative_projector, signature,
-                                 subset_projectors)
+                                 signature, subset_projectors)
 
 
 def test_form_requires_symmetry():
@@ -91,27 +90,3 @@ def test_subset_projectors_extremes():
     with pytest.raises(ValueError):
         subset_projectors(frame, (5,))
 
-
-def test_relative_projector_consistency():
-    """Q_{S,S'} maps S'-reduced coordinates of a vector in span(m_S) to its
-    S-reduced coordinates: Q_S v = Q_{S,S'} (Q_S' v)."""
-    frame = ErrorFunctionFrame.from_m(np.array([[1.0, 0.3, 0.1],
-                                                [0.2, 1.1, -0.4],
-                                                [0.0, 0.5, 0.9]]))
-    S, Sp = (1,), (0, 1, 2)
-    block = relative_projector(frame, S, Sp, kind="Q")
-    v = frame.m(1) * 0.7
-    qs = subset_projectors(frame, S).Q @ v
-    qsp = subset_projectors(frame, Sp).Q @ v
-    assert np.allclose(block @ qsp, qs, atol=1e-12)
-
-
-def test_gram_cofactors_exact_and_float():
-    vecs = [[1, 0], [1, 1]]
-    det, cof = gram_cofactors(None, vecs)
-    # Gram is [[1,1],[1,2]]: det 1, cofactor matrix [[2,-1],[-1,1]]
-    assert det == 1
-    assert cof == [[2, -1], [-1, 1]]
-    det_f, cof_f = gram_cofactors(None, [[1.0, 0.0], [1.0, 1.0]])
-    assert det_f == pytest.approx(1.0)
-    assert np.allclose(np.array(cof_f, dtype=float), [[2, -1], [-1, 1]])

@@ -2,6 +2,7 @@
 modular and elliptic transformation laws."""
 
 import cmath
+import gc
 import math
 from fractions import Fraction
 
@@ -116,6 +117,18 @@ def test_radius_doubling_stability():
     v1 = eval_theta(spec, TruncationPolicy(tol=1e-10, initial_radius=8.0))
     v2 = eval_theta(spec, TruncationPolicy(tol=1e-10, initial_radius=16.0))
     assert abs(v1.value - v2.value) < 1e-9
+
+
+def test_runtime_cache_frees_collected_pairs():
+    gc.collect()
+    before = len(theta._RUNTIME_CACHE)
+    pairs = [hyp_pair() for _ in range(5)]
+    runtimes = [_pair_runtime(pair) for pair in pairs]
+    assert len(theta._RUNTIME_CACHE) == before + 5
+    assert _pair_runtime(pairs[0]) is runtimes[0]
+    del pairs
+    gc.collect()
+    assert len(theta._RUNTIME_CACHE) == before
 
 
 def test_budget_exceeded_carries_partial():
