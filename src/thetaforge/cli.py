@@ -79,12 +79,16 @@ def _int_matrix(node, where: str) -> list:
 
 
 def _number(cast, node, where: str):
-    """cast(node) for cast float or int; a JSON value of the wrong type, or
-    a float that no int can hold, is a ValidationError."""
+    """cast(node) for cast float or int; a value that is not a JSON number (a
+    string, a boolean), not whole for int, or past float range is refused."""
+    kind = "an integer" if cast is int else "a number"
+    whole = isinstance(node, int) or isinstance(node, float) and node.is_integer()
+    if isinstance(node, bool) or not isinstance(node, (int, float)) or (cast is int and not whole):
+        raise ValidationError(f"{where} must be {kind}, got {node!r}")
     try:
         return cast(node)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where} must be a number, got {node!r}") from None
+    except OverflowError:
+        raise ValidationError(f"{where} must be {kind}, got {node!r}") from None
 
 
 def _float_vector(node, n: int, where: str) -> np.ndarray:

@@ -5,6 +5,14 @@ Gaussian-smoothed sign product attached to a nonsingular frame M; M_r is the
 exponentially small complement with prescribed jumps across the walls
 w_j . u = 0 of the dual frame. Conventions: M_0 = E_0 = 1, sign(0) = 0.
 
+E_r is the mean of prod_j sign(z_j), z ~ N(M^T u, M^T M / 2 pi), so by
+inclusion-exclusion E_r = sum_{T subset of {1..r}} (-2)^|T| P(z_T < 0). Each
+term is smooth in u: E_r has no walls and one deterministic route. Orthants
+of one and two coordinates are closed forms (ndtr and Owen's T, Owen 1956);
+those of three and four condition on one or two Cholesky coordinates,
+integrated by Gauss-Legendre against the normal density, over a closed-form
+bivariate orthant (Genz 2004).
+
 M_r is evaluated through an exact rewrite of its contour integral. Writing
 a = W^T u and eps_j = sign(a_j), each pole factor 1/(w_j . t - i a_j) is an
 exponential integral over s_j >= 0; the Gaussian t-integral then collapses and
@@ -14,25 +22,25 @@ exponential integral over s_j >= 0; the Gaussian t-integral then collapses and
     G = diag(eps) (W^T W) diag(eps).
 
 J has a smooth positive integrand with no poles, uniformly in the wall
-distances, so fixed-order tensor Gauss-Legendre on truncated boxes reaches
-near machine precision even arbitrarily close to walls. The contour-shifted
-tensor Gauss-Hermite rule is kept as eval_M_contour; it is spectrally
-accurate only when every |a_j| is order one and serves as a cross-check.
+distances. Its axis of strongest decay is integrated in closed form (erfcx),
+the others by tensor Gauss-Legendre on truncated boxes, so M_r keeps its
+relative precision however small it is. The contour-shifted tensor
+Gauss-Hermite rule is kept as eval_M_contour; it is spectrally accurate only
+when every |a_j| is order one and serves as a cross-check.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import erfcx
+from scipy.special import erfcx, ndtr, owens_t
 
 from .exceptions import RankTooLarge, ValidationError, WallTooClose
-from .quadform import ErrorFunctionFrame, SubsetProjectors, subset_projectors
+from .quadform import ErrorFunctionFrame, subset_projectors
 
 MAX_RANK = 4
 # Most points nodes_per_axis ** r that a rank-r tensor rule may ask for: the
@@ -40,16 +48,17 @@ MAX_RANK = 4
 # suite (320 nodes at rank 2) and the benchmark ask for.
 MAX_GRID_POINTS = 64 ** 4
 _CUT = 46.0  # exp(-46) ~ 1e-20 truncation for the orthant boxes
+_E_CUT = 8.6  # Phi(-8.6) ~ 4e-18: normal mass left out below each conditioned coordinate
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature policy for direct M_r evaluation.
+    """Quadrature policy for E_r and M_r.
 
-    nodes_per_axis: tensor rule size per axis (the error estimate reruns at
-    half this); at rank r, nodes_per_axis ** r may not exceed
-    MAX_GRID_POINTS. The same spec serves the orthant rule of eval_M and
-    the contour-shifted Gauss-Hermite rule of eval_M_contour.
+    nodes_per_axis: rule size per axis (the error estimate reruns at half
+    this); at rank r, nodes_per_axis ** r may not exceed MAX_GRID_POINTS.
+    The same spec serves the orthant rule of eval_M, the conditioned
+    coordinates of eval_E and the Gauss-Hermite rule of eval_M_contour.
     """
 
     nodes_per_axis: int = 64
@@ -107,20 +116,19 @@ def wall_distances(arg: ErrFnArgument) -> np.ndarray:
     return arg.frame.w_mat.T @ arg.u
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def _frozen_rule(rule):
+    """rule(n) -> (nodes, weights), cached and read-only."""
+    @lru_cache(maxsize=32)
+    def cached(n: int):
+        x, w = rule(n)
+        x.setflags(write=False)
+        w.setflags(write=False)
+        return x, w
+    return cached
 
 
-@lru_cache(maxsize=32)
-def _hermgauss(n: int):
-    x, w = np.polynomial.hermite.hermgauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+_leggauss = _frozen_rule(np.polynomial.legendre.leggauss)
+_hermgauss = _frozen_rule(np.polynomial.hermite.hermgauss)
 
 
 def _smax_bounds(G: np.ndarray, b: np.ndarray, cut: float) -> np.ndarray:
@@ -135,77 +143,56 @@ def _smax_bounds(G: np.ndarray, b: np.ndarray, cut: float) -> np.ndarray:
     return (-b + np.sqrt(b * b + 4.0 * q * cut)) / (2.0 * q)
 
 
-def _log_erfc(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = np.log(erfcx(x[pos])) - x[pos] ** 2
-    xn = x[~pos]
-    out[~pos] = np.log(2.0 - erfcx(-xn) * np.exp(-(xn ** 2)))
+def _log_erfcx(x: np.ndarray) -> np.ndarray:
+    """log(e^{x^2} erfc(x)). Below x = -25, erfc(x) is 2 to double precision
+    and erfcx(x) overflows, so the value there is x^2 + log 2."""
+    out = np.log(erfcx(x))
+    low = x < -25.0
+    if low.any():
+        out[low] = x[low] ** 2 + math.log(2.0)
     return out
 
 
 def _tensor_grid(nodes: list[np.ndarray], weights: list[np.ndarray]):
-    grids = np.meshgrid(*nodes, indexing="ij")
-    S = np.stack([g.reshape(-1) for g in grids], axis=0)
-    wt = weights[0]
-    for w in weights[1:]:
+    """Tensor product of 1-D rules: points (columns of S) and weights. With
+    no rule it is the single empty point of weight 1."""
+    wt = np.ones(1)
+    for w in weights:
         wt = np.multiply.outer(wt, w)
-    return S, wt.reshape(-1)
+    grids = np.meshgrid(*nodes, indexing="ij") if len(nodes) > 1 else nodes
+    return np.array([g.reshape(-1) for g in grids]).reshape(len(nodes), wt.size), wt.reshape(-1)
 
 
-def _orthant_J_full(G: np.ndarray, b: np.ndarray, n: int) -> float:
-    smax = _smax_bounds(G, b, _CUT)
-    x, w = _leggauss(n)
-    nodes = [(x + 1.0) * 0.5 * s for s in smax]
-    wts = [w * 0.5 * s for s in smax]
-    S, wt = _tensor_grid(nodes, wts)
-    expo = b @ S + (0.25 / np.pi) * np.einsum("in,in->n", S, G @ S)
-    return float(wt @ np.exp(-expo))
+def _orthant_J(G: np.ndarray, b: np.ndarray, n: int) -> tuple[float, float]:
+    """J with n and with max(n // 2, 8) Gauss-Legendre nodes per axis.
 
-
-def _orthant_J_reduced(G: np.ndarray, b: np.ndarray, n: int) -> float:
-    """Integrate the axis with the strongest linear decay in closed form.
-
-    inner integral: int_0^inf e^{-beta s - gamma s^2/(4 pi)} ds
-                  = (pi / sqrt(gamma)) e^{x^2} erfc(x),  x = beta sqrt(pi/gamma).
-    beta goes negative where off-diagonal couplings are negative, so the
-    e^{x^2} growth is kept in log space and cancelled against the outer
-    Gaussian before exponentiating.
+    The axis k with the strongest linear decay is integrated in closed form,
+    int_0^inf e^{-beta s - gamma s^2/(4 pi)} ds = (pi / sqrt(gamma)) erfcx(x)
+    with x = beta sqrt(pi/gamma), the others on the box outside which the
+    integrand is below e^-(_CUT + 2). beta goes negative where off-diagonal
+    couplings are negative, so the e^{x^2} growth of erfcx is kept in log
+    space and cancelled against the outer Gaussian before exponentiating.
     """
-    r = len(b)
     k = int(np.argmax(b))
-    idx = [j for j in range(r) if j != k]
-    Gp = G[np.ix_(idx, idx)]
-    g = G[idx, k]
     gamma = G[k, k]
-    bp = b[idx]
+    if len(b) == 1:
+        v = float(np.pi / math.sqrt(gamma) * erfcx(b[k] * math.sqrt(np.pi / gamma)))
+        return v, v
+    idx = [j for j in range(len(b)) if j != k]
     smax = _smax_bounds(G, b, _CUT + 2.0)[idx]
-    x, w = _leggauss(n)
-    nodes = [(x + 1.0) * 0.5 * s for s in smax]
-    wts = [w * 0.5 * s for s in smax]
-    S, wt = _tensor_grid(nodes, wts)
-    beta = b[k] + (g @ S) / (2.0 * np.pi)
-    xx = beta * np.sqrt(np.pi / gamma)
-    L = (
-        -(bp @ S)
-        - (0.25 / np.pi) * np.einsum("in,in->n", S, Gp @ S)
-        + math.log(np.pi / math.sqrt(gamma))
-        + xx ** 2
-        + _log_erfc(xx)
-    )
-    return float(wt @ np.exp(L))
-
-
-def _orthant_J(G: np.ndarray, b: np.ndarray, n: int) -> float:
-    r = len(b)
-    if r == 1:
-        gamma = G[0, 0]
-        xx = b[0] * math.sqrt(np.pi / gamma)
-        return float(np.pi / math.sqrt(gamma) * erfcx(xx))
-    if r <= 3:
-        return _orthant_J_full(G, b, n)
-    return _orthant_J_reduced(G, b, n)
+    values = []
+    for nodes in (n, max(n // 2, 8)):
+        x, w = _leggauss(nodes)
+        S, wt = _tensor_grid([(x + 1.0) * 0.5 * s for s in smax], [w * 0.5 * s for s in smax])
+        xx = (b[k] + (G[idx, k] @ S) / (2.0 * np.pi)) * math.sqrt(np.pi / gamma)
+        L = (
+            -(b[idx] @ S)
+            - (0.25 / np.pi) * np.einsum("in,in->n", S, G[np.ix_(idx, idx)] @ S)
+            + math.log(np.pi / math.sqrt(gamma))
+            + _log_erfcx(xx)
+        )
+        values.append(float(wt @ np.exp(L)))
+    return values[0], values[1]
 
 
 def _check_rank(r: int, quad: QuadratureSpec):
@@ -225,43 +212,27 @@ def _check_walls(a: np.ndarray, wall_eps: float):
         )
 
 
-def _m_raw(m_mat: np.ndarray, u: np.ndarray, wall_eps: float, n: int) -> tuple[float, float]:
-    """(value, est_error) of M_r via the orthant representation."""
-    r = m_mat.shape[0]
-    if r == 0:
-        return 1.0, 0.0
-    w_mat = np.linalg.inv(m_mat).T
-    a = w_mat.T @ u
-    _check_walls(a, wall_eps)
-    eps = np.sign(a)
-    G = np.outer(eps, eps) * (w_mat.T @ w_mat)
-    b = np.abs(a)
-    pref = (
-        (-1.0) ** r
-        * np.pi ** (-r)
-        * float(np.prod(eps))
-        / abs(float(np.linalg.det(m_mat)))
-        * math.exp(-np.pi * float(u @ u))
-    )
-    v1 = _orthant_J(G, b, n)
-    if r == 1:
-        value = pref * v1
-        return value, abs(value) * 1e-15 + 1e-18
-    v2 = _orthant_J(G, b, max(n // 2, 8))
-    value = pref * v1
-    est = abs(pref) * abs(v1 - v2) + abs(value) * 1e-15 + 1e-18
-    return value, est
-
-
 def eval_M(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValue:
-    """M_r at a point off every wall.
+    """M_r at a point off every wall, through the orthant integral J.
 
     Raises WallTooClose when min_j |w_j . u| <= wall_eps and RankTooLarge
     past the direct cap. The orthant path is purely real, so imag_residual
     is 0; est_error compares full and half node counts.
     """
-    _check_rank(arg.frame.r, quad)
-    value, est = _m_raw(arg.frame.m_mat, arg.u, arg.wall_eps, quad.nodes_per_axis)
+    r = arg.frame.r
+    _check_rank(r, quad)
+    if r == 0:
+        return ErrFnValue(1.0, 0.0, 0.0)
+    a = wall_distances(arg)
+    _check_walls(a, arg.wall_eps)
+    eps = np.sign(a)
+    w_mat = arg.frame.w_mat
+    G = np.outer(eps, eps) * (w_mat.T @ w_mat)
+    pref = ((-1.0) ** r * np.pi ** (-r) * float(np.prod(eps))
+            / abs(float(np.linalg.det(arg.frame.m_mat))) * math.exp(-np.pi * float(arg.u @ arg.u)))
+    v1, v2 = _orthant_J(G, np.abs(a), quad.nodes_per_axis)
+    value = pref * v1
+    est = abs(pref) * abs(v1 - v2) + abs(value) * 1e-15 + 1e-18
     return ErrFnValue(value=value, imag_residual=0.0, est_error=est)
 
 
@@ -271,19 +242,12 @@ def _contour_sum(m_mat, w_mat, a, u, n) -> complex:
     t_nodes = x / math.sqrt(np.pi)
     total = 0.0 + 0.0j
     # block over the first axis to bound memory at higher rank
-    if r == 1:
-        den = w_mat[0, 0] * t_nodes - 1j * a[0]
-        total = np.sum(w / den)
-    else:
-        sub_nodes = [t_nodes] * (r - 1)
-        sub_w = [w] * (r - 1)
-        T, wt = _tensor_grid(sub_nodes, sub_w)
-        for i0 in range(n):
-            den = np.ones(T.shape[1], dtype=complex)
-            for j in range(r):
-                lin = w_mat[0, j] * t_nodes[i0] + w_mat[1:, j] @ T
-                den *= lin - 1j * a[j]
-            total += w[i0] * np.sum(wt / den)
+    T, wt = _tensor_grid([t_nodes] * (r - 1), [w] * (r - 1))
+    for i0 in range(n):
+        den = np.ones(T.shape[1], dtype=complex)
+        for j in range(r):
+            den *= w_mat[0, j] * t_nodes[i0] + w_mat[1:, j] @ T - 1j * a[j]
+        total += w[i0] * np.sum(wt / den)
     pref = (1j / np.pi) ** r / abs(np.linalg.det(m_mat)) * math.exp(-np.pi * float(u @ u))
     return pref * total * np.pi ** (-r / 2)
 
@@ -313,75 +277,101 @@ def _subsets(r: int):
         yield from combinations(range(r), k)
 
 
-def _reduced_m_arg(frame: ErrorFunctionFrame, u: np.ndarray, S: tuple[int, ...],
-                   proj: SubsetProjectors) -> tuple[np.ndarray, np.ndarray]:
-    """(Q_S M_S, Q_S u): the rank-|S| frame and point of a subset term."""
-    sub = frame.m_mat[:, list(S)]
-    return proj.Q @ sub, proj.Q @ u
+def _bvn_lower(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """P(X < h, Y < k) for standard normals of correlation rho, elementwise
+    (Owen 1956), exact where h or k is 0."""
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+
+    def arm(h, k):  # T(h, (k - rho h) / (h s)), with its h -> 0+ limit at h = 0
+        on = h == 0.0
+        return np.where(on, 0.25 * np.sign(k), owens_t(h, (k - rho * h) / np.where(on, 1.0, h * s)))
+
+    beta = 0.5 * ((h < 0.0) != (k < 0.0))  # Owen's 1/2 where h k < 0, or h k = 0 > h + k
+    p = 0.5 * (ndtr(h) + ndtr(k)) - arm(h, k) - arm(k, h) - beta
+    return np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(rho) / (2.0 * np.pi), p)
 
 
-def _e_decomposition_data(arg: ErrFnArgument):
-    """Sign arguments and reduced M data for every subset term of E_r.
+def _gl_normal(upper, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes on [-_E_CUT, upper] for each entry of upper (a
+    row each), with the standard normal density folded into the weights."""
+    x, w = _leggauss(n)
+    half = 0.5 * (np.clip(upper, -_E_CUT, _E_CUT) + _E_CUT)[..., None]
+    z = half * (x + 1.0) - _E_CUT
+    return z, half * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * np.pi)
 
-    Returns a list of (S, sign_args, m_sub, u_sub, sub_wall_coords).
+
+def _conditioned_cholesky(h: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, L), X ~ N(0, R) = L Z reordered so that each of the len(h) - 2
+    coordinates conditioned on first has the smallest largest |correlation|
+    with the rest, given those before it: the bivariate limits left at the
+    end then move slowly with them, and the integrand stays smooth."""
+    K, rest, order = R.copy(), list(range(len(h))), []
+    for _ in range(len(h) - 2):
+        sub = K[np.ix_(rest, rest)]
+        corr = np.abs(sub) / np.sqrt(np.outer(np.diag(sub), np.diag(sub)))
+        np.fill_diagonal(corr, 0.0)
+        j = rest.pop(int(np.argmin(corr.max(axis=1))))
+        order.append(j)
+        K = K - np.outer(K[:, j], K[j]) / K[j, j]
+    order += rest
+    return h[order], np.linalg.cholesky(R[np.ix_(order, order)])
+
+
+def _orthant_rows(h: np.ndarray, L: np.ndarray, n: int):
+    """P(X < h), X = L Z with len(h) = 3 or 4, as sum weight * P2(h', k'; rho').
+
+    The first c = len(h) - 2 coordinates of Z take n Gauss-Legendre nodes
+    each; given them, the last two of X are a bivariate normal. Rows of
+    weight below 1e-20 are dropped: within the grid cap (at most 64^2 rows)
+    and with |coefficient| <= 16 they move E_r by less than 1e-15.
     """
-    frame, u = arg.frame, arg.u
-    r = frame.r
-    out = []
-    for S in _subsets(r):
-        comp = tuple(j for j in range(r) if j not in S)
-        projS = subset_projectors(frame, S)
-        signs = []
-        if comp:
-            projC = subset_projectors(frame, comp)
-            Pu = projC.P @ u
-            for j in comp:
-                signs.append(float((projC.P @ frame.m(j)) @ Pu))
-        m_sub, u_sub = _reduced_m_arg(frame, u, S, projS)
-        # rows of inv(m_sub) are the dual coordinates w_i . (Q_S u)
-        a_sub = np.linalg.inv(m_sub) @ u_sub if len(S) else np.zeros(0)
-        out.append((S, np.array(signs), m_sub, u_sub, a_sub))
-    return out
+    c = len(h) - 2
+    z1, w1 = _gl_normal(h[0], n)  # L[0, 0] = 1
+    if c == 1:
+        Z, wt = z1[None, :], w1
+    else:
+        z2, w2 = _gl_normal((h[1] - L[1, 0] * z1) / L[1, 1], n)
+        Z = np.stack([np.repeat(z1, n), z2.reshape(-1)])
+        wt = (w1[:, None] * w2).reshape(-1)
+    keep = wt >= 1e-20
+    K = L[c:, c:] @ L[c:, c:].T  # covariance of the last two given the first c
+    sd = np.sqrt(np.diag(K))
+    lim = (h[c:, None] - L[c:, :c] @ Z[:, keep]) / sd[:, None]
+    return lim[0], lim[1], np.full(lim.shape[1], K[0, 1] / (sd[0] * sd[1])), wt[keep]
 
 
-def eval_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD,
-           mc_fallback_samples: int = 4_000_000) -> ErrFnValue:
-    """E_r via the subset decomposition into M terms.
+def eval_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValue:
+    """E_r = sum_T (-2)^|T| P(z_T < 0), z ~ N(M^T u, M^T M / 2 pi), by one
+    deterministic route at every point, walls included; it never samples.
 
-    E_r = sum_S sign(prod_{j not in S} m_j . P^T P u) M_|S|(Q_S M_S; Q_S u),
-    P = P over the complement of S. E_r is smooth everywhere, so when the
-    point sits too close to any sign locus or reduced wall for the M terms
-    to be trustworthy, evaluation reroutes to the Monte Carlo convolution
-    with a content-derived deterministic seed (est_error is then the
-    standard error).
+    est_error is the gap to the rule at half of nodes_per_axis, plus
+    4e-15 * 3^r for rounding (3^r = sum over T of 2^|T|; converged values
+    scatter by up to 9e-14 across node counts at r = 4), all of it at r <= 2.
     """
     r = arg.frame.r
     _check_rank(r, quad)
     if r == 0:
         return ErrFnValue(1.0, 0.0, 0.0)
-    data = _e_decomposition_data(arg)
-    near_wall = False
-    for S, signs, m_sub, u_sub, a_sub in data:
-        if len(signs) and np.min(np.abs(signs)) <= arg.wall_eps:
-            near_wall = True
-            break
-        if len(S) and np.min(np.abs(a_sub)) <= arg.wall_eps:
-            near_wall = True
-            break
-    if near_wall:
-        seed = zlib.crc32(arg.u.tobytes() + arg.frame.m_mat.tobytes()) & 0xFFFFFFFF
-        return eval_E_oracle_mc(arg, n_samples=mc_fallback_samples, seed=seed)
-    total = 0.0
-    est = 0.0
-    n = quad.nodes_per_axis
-    for S, signs, m_sub, u_sub, a_sub in data:
-        coeff = float(np.prod(np.sign(signs))) if len(signs) else 1.0
-        if coeff == 0.0:
-            continue
-        v, e = _m_raw(m_sub, u_sub, min(arg.wall_eps, 1e-12), n) if len(S) else (1.0, 0.0)
-        total += coeff * v
-        est += e
-    return ErrFnValue(value=total, imag_residual=0.0, est_error=est + abs(total) * 1e-15)
+    m_mat, n = arg.frame.m_mat, quad.nodes_per_axis
+    norms = np.linalg.norm(m_mat, axis=0)
+    h = -math.sqrt(2.0 * np.pi) * (m_mat.T @ arg.u) / norms  # P(z_j < 0) = ndtr(h_j)
+    R = (m_mat.T @ m_mat) / np.outer(norms, norms)
+    i, j = np.array(list(combinations(range(r), 2)), dtype=int).reshape(-1, 2).T
+    base = 1.0 - 2.0 * float(ndtr(h).sum()) + 4.0 * float(_bvn_lower(h[i], h[j], R[i, j]).sum())
+    orthants = []
+    for size in range(3, r + 1):
+        for T in combinations(range(r), size):
+            hT, L = _conditioned_cholesky(h[list(T)], R[np.ix_(T, T)])
+            orthants += [(rule, (-2.0) ** size, _orthant_rows(hT, L, nodes))
+                         for rule, nodes in enumerate((n, max(n // 2, 8)))]
+    sums, start = [base, base], 0
+    if orthants:
+        p = _bvn_lower(*(np.concatenate([rows[c] for _, _, rows in orthants]) for c in range(3)))
+        for rule, coeff, rows in orthants:
+            sums[rule] += coeff * float(rows[3] @ p[start:start + rows[3].size])
+            start += rows[3].size
+    return ErrFnValue(value=sums[0], imag_residual=0.0,
+                      est_error=abs(sums[0] - sums[1]) + 3.0 ** r * 4e-15)
 
 
 def eval_E_oracle_mc(arg: ErrFnArgument, n_samples: int, seed: int) -> ErrFnValue:
@@ -508,8 +498,8 @@ def discontinuity_limit(arg: ErrFnArgument, S, approach_signs: dict[int, int],
     for j in comp:
         if abs(a[j]) > 1e-7 * scale:
             raise ValueError(f"u is not on the wall stratum: |w_{j} . u| = {abs(a[j]):.3e}")
-    proj = subset_projectors(frame, S)
-    m_sub, u_sub = _reduced_m_arg(frame, arg.u, S, proj)
+    proj = subset_projectors(frame, S)  # the rank-|S| frame Q_S M_S and point Q_S u
+    m_sub, u_sub = proj.Q @ frame.m_mat[:, list(S)], proj.Q @ arg.u
     v, e = _f_reduced("M", m_sub, u_sub, min(arg.wall_eps, 1e-12), quad)
     coeff = (-1.0) ** (r - len(S)) * float(np.prod([approach_signs[j] for j in comp]))
     return ErrFnValue(value=coeff * v, imag_residual=0.0, est_error=e)
@@ -575,7 +565,7 @@ def decompose_M_into_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD):
         coeff = (-1.0) ** (r - len(S)) * float(np.prod(np.sign(a[list(comp)]))) if comp \
             else 1.0
         proj = subset_projectors(frame, S)
-        m_sub, u_sub = _reduced_m_arg(frame, u, S, proj)
+        m_sub, u_sub = proj.Q @ frame.m_mat[:, list(S)], proj.Q @ u
         if len(S):
             sub = ErrFnArgument(frame=ErrorFunctionFrame.from_m(m_sub), u=u_sub,
                                 wall_eps=arg.wall_eps)

@@ -265,7 +265,7 @@ def _check_e_vs_mc(rng, full):
     cnt = 6 if not full else 24
     samples = 400_000 if not full else 2_000_000
     for i in range(cnt):
-        frame = _random_frame(rng, 2 if i % 2 == 0 else 3)
+        frame = _random_frame(rng, 2 + i % 3)  # ranks 2, 3, 4 in turn
         u = _generic_u(rng, frame)
         arg = ErrFnArgument(frame=frame, u=u)
         det = eval_E(arg)

@@ -85,7 +85,7 @@ def test_criterion_02_mc_oracle_equivalence():
         u = _generic_u(rng, frame, scale=0.6)
         arg = ErrFnArgument(frame=frame, u=u)
         det = eval_E(arg)
-        assert det.est_error < 1e-6  # deterministic decomposition path, not MC
+        assert det.est_error < 1e-6  # deterministic orthant route, never sampled
         mc = eval_E_oracle_mc(arg, n_samples=4_000_000, seed=i)
         diff = abs(det.value - mc.value)
         pull = 0.0 if diff == 0 else (diff / mc.est_error if mc.est_error > 0

@@ -328,3 +328,22 @@ def test_unknown_flag_exits_3(capsys):
 def test_unknown_command_exits_3(capsys):
     code, doc, _ = run_cli(capsys, "frobnicate")
     assert code == 3
+
+
+@pytest.mark.parametrize("key,value", [("max_points", 30.9), ("initial_radius", "2")])
+def test_config_policy_value_not_cast_exits_3(capsys, tmp_path, key, value):
+    # a fractional count is not truncated and a numeric string is not parsed
+    doc_in = dict(HYP_THETA, policy=dict(HYP_THETA["policy"], **{key: value}))
+    code, doc, _ = run_cli(capsys, "theta", "--config",
+                           write_config(tmp_path, "cast.json", doc_in))
+    assert code == 3
+    assert doc["error"]["type"] == "ValidationError"
+    assert f"policy.{key}" in doc["error"]["message"]
+
+
+def test_config_policy_whole_float_count_accepted(capsys, tmp_path):
+    doc_in = dict(HYP_THETA, policy=dict(HYP_THETA["policy"], max_points=1e6))
+    code, doc, _ = run_cli(capsys, "theta", "--config",
+                           write_config(tmp_path, "whole.json", doc_in))
+    assert code == 0
+    assert doc["value"] == {"re": 0, "im": 0}

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, erfc
+from scipy.optimize import brentq
+from scipy.special import erf, erfc, erfcx, owens_t
 
 from thetaforge import errfn
 from thetaforge.errfn import (MAX_GRID_POINTS, ErrFnArgument, QuadratureSpec, bound_check,
@@ -92,9 +93,8 @@ def test_wall_refusal_and_distances():
     assert wall_distances(a)[0] == pytest.approx(1e-13)
     with pytest.raises(WallTooClose):
         eval_M(a)
-    # E is smooth across walls: it reroutes instead of refusing
-    v = eval_E(a)
-    assert abs(v.value) < 1e-2
+    # E is smooth across walls: it keeps its closed form instead of refusing
+    assert eval_E(a).value == pytest.approx(e1_ref(1e-13) * e1_ref(0.5), abs=1e-15)
 
 
 def test_rank_cap():
@@ -248,3 +248,114 @@ def test_quadrature_grid_cap_refuses_before_any_node(monkeypatch):
 def test_non_finite_point_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         arg(np.eye(2), [bad, 0.5])
+
+
+GENERAL_FRAMES = {
+    2: [[1.0, 0.3], [0.2, 1.1]],
+    3: [[1.0, 0.3, 0.1], [0.2, 1.1, -0.4], [0.0, 0.5, 0.9]],
+    4: [[1.0, 0.3, 0.1, -0.2], [0.2, 1.1, -0.4, 0.3], [0.0, 0.5, 0.9, 0.1],
+        [0.4, -0.2, 0.3, 1.2]],
+}
+
+
+def test_eval_E_never_samples(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("eval_E sampled")
+
+    monkeypatch.setattr(errfn, "eval_E_oracle_mc", no_sampling)
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    u = [0.45, -0.65, 0.3, 0.5]
+    for r, m in GENERAL_FRAMES.items():
+        v = eval_E(arg(m, u[:r]))
+        assert abs(v.value) <= 1.0 and v.est_error < 1e-10
+    # exactly on the sign locus m_0 . u = 0 and on a wall of the dual frame
+    m = np.array(GENERAL_FRAMES[2])
+    assert (m.T @ [-0.1, 0.5])[0] == 0.0
+    assert eval_E(arg(m, [-0.1, 0.5])).est_error < 1e-12
+    assert eval_E(arg(m, m[:, 1])).est_error < 1e-12
+    # a zero coordinate of a diagonal frame: E factorizes to 0 up to rounding
+    v = eval_E(arg(np.diag([1.0, 1.3, -0.7]), [0.0, 0.4, -0.6]))
+    assert abs(v.value) <= v.est_error < 1e-12
+
+
+@pytest.mark.parametrize("u", [(-0.1, 0.5), tuple(0.7 * np.array([-0.2, 1.0]))])
+def test_e_on_wall_matches_owens_t(u):
+    # on m_0 . u = 0, P(z_0 < 0) = 1/2 and E_2 = 4 T(h_1, rho / sqrt(1 - rho^2)),
+    # h_1 = -sqrt(2 pi) m_1 . u / |m_1|, rho the cosine between m_0 and m_1
+    m = np.array(GENERAL_FRAMES[2])
+    u = np.array(u)
+    n0, n1 = np.linalg.norm(m, axis=0)
+    rho = (m[:, 0] @ m[:, 1]) / (n0 * n1)
+    h1 = -math.sqrt(2.0 * math.pi) * (m[:, 1] @ u) / n1
+    ref = 4.0 * owens_t(h1, rho / math.sqrt(1.0 - rho * rho))
+    v = eval_E(arg(m, u))
+    assert v.value == pytest.approx(ref, abs=1e-12)
+    assert abs(v.value - ref) <= v.est_error
+    if u[1] == 0.7:
+        assert v.value == pytest.approx(0.0744863, abs=1e-7)
+
+
+def test_e2_at_origin_is_sheppard_arcsine():
+    # h = k = 0: P(z_0 < 0, z_1 < 0) = 1/4 + arcsin(rho) / (2 pi), so E_2 = (2/pi) arcsin(rho)
+    m = np.array(GENERAL_FRAMES[2])
+    n0, n1 = np.linalg.norm(m, axis=0)
+    rho = (m[:, 0] @ m[:, 1]) / (n0 * n1)
+    assert eval_E(arg(m, [0.0, 0.0])).value == pytest.approx(2.0 / math.pi * math.asin(rho),
+                                                             abs=1e-15)
+
+
+def test_e_continuous_across_wall():
+    m = np.array(GENERAL_FRAMES[2])
+    u0 = np.array([-0.1, 0.5])
+    e0 = eval_E(arg(m, u0)).value
+    for d in (1e-300, 1e-12):
+        for side in (1.0, -1.0):
+            e = eval_E(arg(m, u0 + side * d * m[:, 0])).value
+            assert abs(e - e0) <= 1e-11
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_e_orthogonal_frames_match_erf_products(r):
+    rng = np.random.default_rng(r)
+    for _ in range(8):
+        q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+        m = q * rng.uniform(0.5, 2.0, size=r)
+        u = rng.normal(size=r) * rng.choice([0.1, 0.5, 1.5])
+        t = (m.T @ u) / np.linalg.norm(m, axis=0)
+        assert eval_E(arg(m, u)).value == pytest.approx(np.prod(erf(SQPI * t)), abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_e_est_error_covers_a_finer_rule(r):
+    m = GENERAL_FRAMES[r]
+    for u in ([0.45, -0.65, 0.3, 0.5], [1.2, 0.1, -0.9, 0.05]):
+        a = arg(m, u[:r])
+        coarse = eval_E(a, QuadratureSpec(nodes_per_axis=16))
+        assert abs(coarse.value - eval_E(a).value) <= coarse.est_error
+
+
+def _log_erfc(x: float) -> float:
+    return math.log(erfcx(SQPI * x)) - math.pi * x * x
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_tiny_m_keeps_relative_precision(r):
+    # orthogonal frames: M_r = prod_j -sign(t_j) erfc(sqrt(pi) |t_j|)
+    rng = np.random.default_rng(10 + r)
+    for log10_m in (-1, -5, -10, -20, -40, -60, -80, -100):
+        q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+        m = q * rng.uniform(0.5, 2.0, size=r)
+        share = rng.uniform(0.5, 1.5, size=r)
+        share /= share.sum()
+        t = np.array([brentq(lambda x, s=s: _log_erfc(x) - s * log10_m * math.log(10.0),
+                             1e-12, 40.0) for s in share])
+        t *= rng.choice([-1.0, 1.0], size=r)
+        ref = math.prod(-math.copysign(1.0, tj) * erfc(SQPI * abs(tj)) for tj in t)
+        assert abs(ref) == pytest.approx(10.0 ** log10_m, rel=1e-9)
+        v = eval_M(arg(m, q @ t))
+        assert v.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_tiny_m_pinned_value():
+    v = eval_M(arg([[1.0, 0.4], [0.0, 1.0]], [5.0, 6.0]))
+    assert v.value == pytest.approx(3.7519520184e-86, rel=1e-10, abs=0.0)

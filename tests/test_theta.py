@@ -598,7 +598,7 @@ def test_s_law_at_tau_i():
     assert abs(abs(rho) - 1.0) < 1e-12
 
 
-def test_threaded_suite_matches_serial_value():
+def test_repeated_eval_theta_is_identical():
     spec = hyp_spec(tau=0.3 + 1.0j, b=(0.1, 0.2), c=(-0.15, 0.05))
     v1 = eval_theta(spec, TruncationPolicy(tol=1e-10))
     v2 = eval_theta(spec, TruncationPolicy(tol=1e-10))
