@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rational as ra
-from .errfn import (DEFAULT_QUAD, ErrFnArgument, ErrFnValue, QuadratureSpec, _subsets, eval_E,
-                    eval_M)
+from .errfn import (DEFAULT_QUAD, ErrFnArgument, ErrFnValue, QuadratureSpec, _subsets,
+                    _vigneras, eval_E, eval_M)
 from .exceptions import DegenerateGram, NotTimelike
 from .quadform import BilinearForm, ErrorFunctionFrame
 
@@ -282,31 +282,9 @@ def vigneras_residual_boosted(arg: BoostedArgument, kind: str = "E", h: float = 
     if kind not in ("M", "E"):
         raise ValueError("kind must be 'M' or 'E'")
     cone = arg.cone
-    Ainv = np.linalg.inv(cone.form.matrix())
 
     def f(x):
         a = BoostedArgument(cone=cone, x=x, wall_eps=arg.wall_eps)
         return (eval_M_boosted(a, quad) if kind == "M" else eval_E_boosted(a, quad)).value
 
-    x0 = arg.x
-    n = cone.n
-    f0 = f(x0)
-    fp = np.empty(n)
-    fm = np.empty(n)
-    eye = np.eye(n)
-    for i in range(n):
-        fp[i] = f(x0 + h * eye[i])
-        fm[i] = f(x0 - h * eye[i])
-    total = 0.0
-    for i in range(n):
-        total += Ainv[i, i] * (fp[i] - 2.0 * f0 + fm[i]) / h ** 2
-        total += 2.0 * np.pi * x0[i] * (fp[i] - fm[i]) / (2.0 * h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            fpp = f(x0 + h * eye[i] + h * eye[j])
-            fpm = f(x0 + h * eye[i] - h * eye[j])
-            fmp = f(x0 - h * eye[i] + h * eye[j])
-            fmm = f(x0 - h * eye[i] - h * eye[j])
-            mixed = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
-            total += 2.0 * Ainv[i, j] * mixed
-    return total
+    return _vigneras(f, arg.x, np.linalg.inv(cone.form.matrix()), h)

@@ -21,6 +21,11 @@ checks run in exact rational arithmetic; float input is rejected.
 Projections compose (projecting perpendicular to V then to the projection
 of W equals projecting perpendicular to V + W), so the (S, P) recursion is
 memoized on the set of globally chosen vectors: 3^r distinct systems.
+
+Each system's Q_- inertia on the A-orthocomplement of its chosen vectors
+comes from Gram matrices alone: the inertias of A, of the chosen Gram, of
+the family Gram and of Q_- in the family's coordinates (see
+_q_minus_inertia). No basis of the complement is built.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from itertools import combinations
 
 from . import rational as ra
 from .exceptions import ZeroDelta
-from .quadform import BilinearForm, signature
+from .quadform import BilinearForm
 
 CONDITION_ORDER = (
     "signature",
@@ -104,7 +109,7 @@ def _bil(A, x, y) -> Fraction:
 def _project_off(A, basis, basis_gram, v):
     """v minus its A-orthogonal projection onto span(basis)."""
     rhs = [_bil(A, b, v) for b in basis]
-    coeff = ra.solve([row[:] for row in basis_gram], rhs)
+    coeff = ra.solve(basis_gram, rhs)
     out = list(v)
     for c, b in zip(coeff, basis):
         for i in range(len(out)):
@@ -128,10 +133,6 @@ def _zeroed_cofactor_matrix(cof, r):
     return M
 
 
-def _negated(mat):
-    return [[-x for x in row] for row in mat]
-
-
 def _q_minus_matrix(A, delta, cofs, cs, cps):
     """A - (1/Delta) sum_j D_{j,j'} (A c_j c'_j^T A + A c'_j c_j^T A)."""
     n = len(A)
@@ -149,34 +150,37 @@ def _q_minus_matrix(A, delta, cofs, cs, cps):
 
 
 def _gram_system(A, cs, cps):
-    """Delta, the cofactor matrix, the D_{j,j'} and Q_- of the interleaved
-    family (c_1, c'_1, ..., c_r, c'_r); all but Delta are None when Delta = 0."""
+    """The Gram matrix G of the interleaved family (c_1, c'_1, ..., c_r,
+    c'_r), Delta = det G, the cofactor matrix of G, the D_{j,j'} and Q_-;
+    the last three are None when Delta = 0."""
     gram = ra.gram(A, _interleave(cs, cps))
     delta = ra.det(gram)
     if delta == 0:
-        return delta, None, None, None
+        return gram, delta, None, None, None
     cof = ra.cofactor_matrix(gram)
     cofs = tuple(cof[2 * j][2 * j + 1] for j in range(len(cs)))
-    return delta, cof, cofs, _q_minus_matrix(A, delta, cofs, cs, cps)
+    return gram, delta, cof, cofs, _q_minus_matrix(A, delta, cofs, cs, cps)
 
 
-def _complement_basis(A, chosen_vecs, n):
-    """Exact basis of the A-orthocomplement of span(chosen_vecs)."""
-    if not chosen_vecs:
-        return [list(row) for row in ra.identity(n)]
-    rows = [ra.mat_vec(A, list(v)) for v in chosen_vecs]
-    return [list(b) for b in ra.nullspace(rows)]
-
-
-def _restrict(mat, basis):
-    cols = [ra.mat_vec(mat, b) for b in basis]
-    return [[ra.dot(basis[i], cols[j]) for j in range(len(basis))] for i in range(len(basis))]
+def _q_minus_inertia(a_inertia, chosen_inertia, gram, delta, cofs):
+    """Inertia of Q_- on V, the A-orthocomplement of the chosen vectors, from
+    Gram matrices alone. On the span F of the projected family, Q_- in the
+    family's coordinates is Q_- built from the family Gram G and unit vectors."""
+    units = ra.identity(len(gram))
+    q_family = _q_minus_matrix(gram, delta, cofs, units[0::2], units[1::2])
+    # V = F + W with W the A-orthocomplement of F in V, where B(c_j, w) =
+    # B(c'_j, w) = 0 gives Q_-(f + w) = Q_-(f) + Q(w); inertia adds over such
+    # sums (Haynsworth), so In(Q_- on V) = In(Q_- on F) + In(A on W)
+    # = In(Q_- on F) + In(A) - In(chosen Gram) - In(G).
+    return tuple(a - c - f + q for a, c, f, q in zip(
+        a_inertia, chosen_inertia, ra.inertia(gram), ra.inertia(q_family)))
 
 
 class _Checker:
     def __init__(self, pair: ConePair):
         self.pair = pair
         self.A = [list(row) for row in pair.form.exact()]
+        self.a_inertia = ra.inertia(self.A)
         self.n = pair.n
         self.r = pair.r
         self.memo: dict = {}
@@ -207,30 +211,19 @@ class _Checker:
 
         # signature is a standing hypothesis; only meaningful at top level
         if not chosen:
-            sig = signature(self.pair.form)
-            conditions["signature"] = sig == (self.r, self.n - self.r)
+            conditions["signature"] = self.a_inertia == (self.r, self.n - self.r, 0)
 
-        cs, cps, degenerate = [], [], False
-        if chosen_vecs:
-            gram_ch = ra.gram(A, chosen_vecs)
-            if ra.det(gram_ch) == 0:
-                degenerate = True
-            else:
-                for j in remaining:
-                    cs.append(_project_off(A, chosen_vecs, gram_ch, self.pair.C[j]))
-                    cps.append(_project_off(A, chosen_vecs, gram_ch, self.pair.C_prime[j]))
-        else:
-            cs = [self.pair.C[j] for j in remaining]
-            cps = [self.pair.C_prime[j] for j in remaining]
-
-        if degenerate:
+        gram_ch = ra.gram(A, chosen_vecs)
+        chosen_inertia = ra.inertia(gram_ch)
+        if chosen_inertia[2]:
             conditions["degenerate_projection"] = False
-            report = ConeSystemReport(
+            return ConeSystemReport(
                 delta=Fraction(0), cofactors_jjprime=(), reduced_cofactor_matrix=(),
                 per_P_positive_definite={}, q_minus=None, q_minus_inertia=None,
                 conditions=conditions, first_failed="degenerate_projection",
                 verdict="fail", n_pairs=rp)
-            return report
+        cs = [_project_off(A, chosen_vecs, gram_ch, self.pair.C[j]) for j in remaining]
+        cps = [_project_off(A, chosen_vecs, gram_ch, self.pair.C_prime[j]) for j in remaining]
 
         per_P = {}
         ok_cp = True
@@ -242,15 +235,16 @@ class _Checker:
                 ok_cp = ok_cp and flag
         conditions["cp_positive_definite"] = ok_cp
 
-        delta, cof, cofs, q_mat = _gram_system(A, cs, cps)
+        gram, delta, cof, cofs, q_mat = _gram_system(A, cs, cps)
         sign_r = -1 if rp % 2 else 1
         conditions["delta_sign"] = sign_r * delta > 0
 
         if delta != 0:
             conditions["cofactor_sign"] = all(sign_r * D >= 0 for D in cofs)
             M = _zeroed_cofactor_matrix(cof, rp)
-            Msigned = M if sign_r == 1 else _negated(M)
-            conditions["reduced_cofactor_negative_definite"] = ra.is_negative_definite(Msigned)
+            # (-1)^rp M negative definite
+            conditions["reduced_cofactor_negative_definite"] = ra.inertia(M) == (
+                (0, 2 * rp, 0) if sign_r == 1 else (2 * rp, 0, 0))
             reduced = tuple(tuple(row) for row in M)
         else:
             cofs = ()
@@ -273,14 +267,8 @@ class _Checker:
         q_minus = None
         q_inertia = None
         if q_mat is not None:
-            basis = _complement_basis(A, chosen_vecs, self.n)
-            if len(basis) != self.n - len(chosen_vecs):
-                conditions["q_minus_negative_definite"] = False
-            else:
-                restr = _restrict(q_mat, basis)
-                q_inertia = ra.inertia(restr)
-                conditions["q_minus_negative_definite"] = (
-                    q_inertia[0] == 0 and q_inertia[2] == 0)
+            q_inertia = _q_minus_inertia(self.a_inertia, chosen_inertia, gram, delta, cofs)
+            conditions["q_minus_negative_definite"] = q_inertia[0] == 0 and q_inertia[2] == 0
             q_minus = tuple(tuple(row) for row in q_mat)
         else:
             conditions["q_minus_negative_definite"] = False
@@ -307,7 +295,7 @@ def check_cone_pair(pair: ConePair) -> ConeSystemReport:
 def q_minus_form(pair: ConePair):
     """Exact matrix of Q_-; raises ZeroDelta when the Gram determinant is 0."""
     A = [list(row) for row in pair.form.exact()]
-    delta, _, _, q_mat = _gram_system(A, list(pair.C), list(pair.C_prime))
+    _, delta, _, _, q_mat = _gram_system(A, list(pair.C), list(pair.C_prime))
     if delta == 0:
         raise ZeroDelta("Gram determinant of (C, C') vanishes")
     return tuple(tuple(row) for row in q_mat)
@@ -322,14 +310,13 @@ def det_identity_residual(pair: ConePair, x) -> Fraction:
     """
     x = ra.fvector(x)
     A = [list(row) for row in pair.form.exact()]
-    inter = _interleave(list(pair.C), list(pair.C_prime))
-    lhs = ra.det(ra.gram(A, [x] + inter))
-    delta, cof, _, qm = _gram_system(A, list(pair.C), list(pair.C_prime))
+    gram, delta, cof, _, qm = _gram_system(A, list(pair.C), list(pair.C_prime))
     if delta == 0:
         raise ZeroDelta("Gram determinant of (C, C') vanishes")
-    q_minus_x = ra.dot(ra.mat_vec(qm, list(x)), list(x))
+    X = [_bil(A, v, x) for v in _interleave(pair.C, pair.C_prime)]
+    lhs = ra.det([[_bil(A, x, x)] + X] + [[X_i] + row for X_i, row in zip(X, gram)])
+    q_minus_x = ra.dot(ra.mat_vec(qm, x), x)
     M = _zeroed_cofactor_matrix(cof, pair.r)
-    X = [_bil(A, v, x) for v in inter]
     xmx = ra.dot(ra.mat_vec(M, X), X)
     return lhs - (delta * q_minus_x - xmx)
 

@@ -49,6 +49,7 @@ MAX_RANK = 4
 MAX_GRID_POINTS = 64 ** 4
 _CUT = 46.0  # exp(-46) ~ 1e-20 truncation for the orthant boxes
 _E_CUT = 8.6  # Phi(-8.6) ~ 4e-18: normal mass left out below each conditioned coordinate
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,9 @@ def eval_M(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValu
 
     Raises WallTooClose when min_j |w_j . u| <= wall_eps and RankTooLarge
     past the direct cap. The orthant path is purely real, so imag_residual
-    is 0; est_error compares full and half node counts.
+    is 0. est_error is the gap to the rule at half the node count plus a
+    rounding term relative to |M_r|: 1e-15, and 4 eps pi u.u for the
+    prefactor e^{-pi u.u}, whose exponent is rounded to about eps pi u.u.
     """
     r = arg.frame.r
     _check_rank(r, quad)
@@ -228,11 +231,12 @@ def eval_M(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValu
     eps = np.sign(a)
     w_mat = arg.frame.w_mat
     G = np.outer(eps, eps) * (w_mat.T @ w_mat)
+    gauss = np.pi * float(arg.u @ arg.u)
     pref = ((-1.0) ** r * np.pi ** (-r) * float(np.prod(eps))
-            / abs(float(np.linalg.det(arg.frame.m_mat))) * math.exp(-np.pi * float(arg.u @ arg.u)))
+            / abs(float(np.linalg.det(arg.frame.m_mat))) * math.exp(-gauss))
     v1, v2 = _orthant_J(G, np.abs(a), quad.nodes_per_axis)
     value = pref * v1
-    est = abs(pref) * abs(v1 - v2) + abs(value) * 1e-15 + 1e-18
+    est = abs(pref) * abs(v1 - v2) + abs(value) * (1e-15 + 4.0 * _EPS * gauss)
     return ErrFnValue(value=value, imag_residual=0.0, est_error=est)
 
 
@@ -519,6 +523,31 @@ def bound_check(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD,
     return lhs, rhs, lhs <= rhs + res.est_error, res.est_error
 
 
+def _vigneras(f, x0: np.ndarray, Ainv: np.ndarray, h: float) -> float:
+    """Central finite differences of sum_ij (A^-1)_ij d_i d_j f + 2 pi x . grad f
+    at x0, step h. Mixed differences are taken only where (A^-1)_ij != 0."""
+    n = len(x0)
+    eye = np.eye(n)
+    f0 = f(x0)
+    total = 0.0
+    for i in range(n):
+        fp = f(x0 + h * eye[i])
+        fm = f(x0 - h * eye[i])
+        total += Ainv[i, i] * (fp - 2.0 * f0 + fm) / h ** 2
+        total += 2.0 * np.pi * x0[i] * (fp - fm) / (2.0 * h)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if Ainv[i, j] == 0.0:
+                continue
+            fpp = f(x0 + h * eye[i] + h * eye[j])
+            fpm = f(x0 + h * eye[i] - h * eye[j])
+            fmp = f(x0 - h * eye[i] + h * eye[j])
+            fmm = f(x0 - h * eye[i] - h * eye[j])
+            mixed = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
+            total += 2.0 * Ainv[i, j] * mixed
+    return total
+
+
 def vigneras_residual(arg: ErrFnArgument, kind: str = "E", h: float = 1e-3,
                       quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Central finite difference residual of sum_j (d^2/du_j^2 + 2 pi u_j d/du_j).
@@ -533,17 +562,7 @@ def vigneras_residual(arg: ErrFnArgument, kind: str = "E", h: float = 1e-3,
         sub = ErrFnArgument(frame=arg.frame, u=u, wall_eps=arg.wall_eps)
         return (eval_M(sub, quad) if kind == "M" else eval_E(sub, quad)).value
 
-    u0 = arg.u
-    f0 = f(u0)
-    total = 0.0
-    for j in range(arg.frame.r):
-        e = np.zeros_like(u0)
-        e[j] = h
-        fp = f(u0 + e)
-        fm = f(u0 - e)
-        total += (fp - 2.0 * f0 + fm) / h ** 2
-        total += 2.0 * np.pi * u0[j] * (fp - fm) / (2.0 * h)
-    return total
+    return _vigneras(f, arg.u, np.eye(arg.frame.r), h)
 
 
 def decompose_M_into_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD):

@@ -121,39 +121,36 @@ def det(A) -> Fraction:
     return d * sign
 
 
-def solve(A, b):
-    """Solve A x = b exactly. Raises ZeroDivisionError on singular A."""
+def _gauss_jordan(A, B):
+    """(A^-1 B, det A) from one Gauss-Jordan pass over [A | B]; det A is the
+    signed product of the pivots. Singular A raises ZeroDivisionError."""
     n = len(A)
-    M = [A[i][:] + [b[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        M[col], M[piv] = M[piv], M[col]
-        p = M[col][col]
-        M[col] = [x / p for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
-def inverse(A):
-    n = len(A)
-    M = [A[i][:] + identity(n)[i] for i in range(n)]
+    M = [list(A[i]) + list(B[i]) for i in range(n)]
+    d = Fr(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col] != 0), None)
         if piv is None:
             raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            d = -d
         p = M[col][col]
-        M[col] = [x / p for x in M[col]]
+        d *= p
+        pivot_row = M[col] = [x / p for x in M[col]]
         for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+            f = M[r][col]
+            if r != col and f:
+                M[r] = [x - f * y for x, y in zip(M[r], pivot_row)]
+    return [row[n:] for row in M], d
+
+
+def solve(A, b):
+    """Solve A x = b exactly. Raises ZeroDivisionError on singular A."""
+    return [x for (x,) in _gauss_jordan(A, [[v] for v in b])[0]]
+
+
+def inverse(A):
+    return _gauss_jordan(A, identity(len(A)))[0]
 
 
 def cofactor_matrix(A):
@@ -161,8 +158,7 @@ def cofactor_matrix(A):
     nonsingular A, as det(A) * inverse(A)^T; singular A raises
     ZeroDivisionError."""
     n = len(A)
-    d = det(A)
-    Ainv = inverse(A)
+    Ainv, d = _gauss_jordan(A, identity(n))
     return [[d * Ainv[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -221,45 +217,6 @@ def inertia(S) -> tuple[int, int, int]:
 def is_positive_definite(S) -> bool:
     n = len(S)
     return inertia(S) == (n, 0, 0)
-
-
-def is_negative_definite(S) -> bool:
-    n = len(S)
-    return inertia(S) == (0, n, 0)
-
-
-def nullspace(A) -> list[list[Fraction]]:
-    """Exact basis of the right nullspace of A (rows may be fewer than cols)."""
-    if not A:
-        return []
-    rows, cols = len(A), len(A[0])
-    M = [row[:] for row in A]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        p = M[r][c]
-        M[r] = [x / p for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fr(0)] * cols
-        v[fc] = Fr(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -M[i][fc]
-        basis.append(v)
-    return basis
 
 
 def gram(form_matrix, vectors):

@@ -1,5 +1,6 @@
 """Exact cone-pair certificates and the determinant identity."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -7,10 +8,12 @@ from fractions import Fraction
 import pytest
 
 from thetaforge import rational as ra
-from thetaforge.cones import (ConePair, build_a4_example, build_r1_example,
-                              check_cone_pair, det_identity_residual,
-                              q_minus_form)
-from thetaforge.exceptions import NonExactInput, ZeroDelta
+from thetaforge import serialize
+from thetaforge.cli import _cone_report_doc
+from thetaforge.cones import (CONDITION_ORDER, ConePair, build_a4_example,
+                              build_r1_example, check_cone_pair,
+                              det_identity_residual, q_minus_form)
+from thetaforge.exceptions import DegenerateForm, NonExactInput, ZeroDelta
 from thetaforge.quadform import BilinearForm, signature
 
 
@@ -98,3 +101,84 @@ def test_certificate_invariant_under_column_scaling():
     rows_p = [[a4.C_prime[j][i] for j in range(4)] for i in range(8)]
     scaled = ConePair.from_matrices(rows, rows_p, a4.form)
     assert check_cone_pair(scaled).passed
+
+
+def _seeded_pair(seed, r, n):
+    """A random rank-r pair on a random nondegenerate n x n form, entries
+    in [-2, 2]; most fail somewhere, and their nested systems vary."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+        try:
+            form = BilinearForm.from_rows(rows)
+        except DegenerateForm:
+            continue
+        C = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+        Cp = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+        return ConePair.from_matrices(C, Cp, form)
+
+
+def _golden_pairs():
+    # on diag(1, 1, -1, -1), the rank-2 pair c = ((2,0,-1,0), (-2,-3,1,-1)),
+    # c' = ((2,-2,-1,-2), (-2,-3,0,1)) passes every condition up to the
+    # reduced cofactor matrix, which has inertia (1, 3, 0)
+    rc_form = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+    rc_c = [[2, -2], [0, -3], [-1, 1], [0, -1]]
+    rc_cp = [[2, -2], [-2, -3], [-1, 0], [-2, 1]]
+    # its direct sum with the rank-1 example diag(1, -1), c = (1,0), c' = (2,1)
+    sum_form = [[1, 0] + [0] * 4, [0, -1] + [0] * 4] + [[0, 0] + row for row in rc_form]
+    sum_c = [[1, 0, 0], [0, 0, 0]] + [[0] + row for row in rc_c]
+    sum_cp = [[2, 0, 0], [1, 0, 0]] + [[0] + row for row in rc_cp]
+    return {
+        "a4": build_a4_example(),
+        "r1": build_r1_example(),
+        "product": ConePair.from_matrices(
+            [[1, 0], [0, 0], [0, 1], [0, 0]], [[2, 0], [1, 0], [0, 2], [0, 1]],
+            BilinearForm.from_rows([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, -2]])),
+        "a2": ConePair.from_matrices(
+            [[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 0], [0, 1], [0, -1], [-1, 0]],
+            BilinearForm.from_rows([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]])),
+        "seeded_r2_n4_21": _seeded_pair(21, 2, 4),
+        "seeded_r2_n3_4": _seeded_pair(4, 2, 3),
+        "seeded_r3_n5_39": _seeded_pair(39, 3, 5),
+        "seeded_r3_n4_11": _seeded_pair(11, 3, 4),
+        "reduced_cofactor_r2": ConePair.from_matrices(rc_c, rc_cp, BilinearForm.from_rows(rc_form)),
+        "reduced_cofactor_r3": ConePair.from_matrices(sum_c, sum_cp,
+                                                      BilinearForm.from_rows(sum_form)),
+    }
+
+
+GOLDEN_DIGESTS = {
+    "a4": "aae1857f3bf357119840180e6c27a0ded6c1e12ea46bd2ee185fff7d501528b0",
+    "r1": "b73e88cb7abe46aaafaabdae9e78813f7637307c0bc661486b866d38ac426ed5",
+    "product": "a372124b436dde2e393526486b048854b8bf9877d62b6350811ed4dafbc77031",
+    "a2": "af53f88a13173234800de42a1fa5e525e5934bd5a52d528fff9f617e1161173a",
+    "seeded_r2_n4_21": "af2a69cc378073cf3def3bb221f2c8fcfa4923015ef94a9fa0595e8d561e9bcb",
+    "seeded_r2_n3_4": "42ab180138408d95e05440225d05220dca63034bf4a0677e4e80083a8dd772ca",
+    "seeded_r3_n5_39": "f09cdc3f50eae78ed11cd9a9e36923ae49570f6f429e968ee8977decdf597f1f",
+    "seeded_r3_n4_11": "ee45cf5b838a640de2498102f1b6043f25f7bab90f58f03842ca35a4f367c13f",
+    "reduced_cofactor_r2": "bab45d7e3d377882909c575238c7103fe155eec8dcd67504ba5e7a48b9284704",
+    "reduced_cofactor_r3": "2bc1468699a4561f2c61feaba86ee4e1752a5162f295deeb8b1f22fe112ecf7f",
+}
+
+
+def test_certificate_reports_match_golden_digests():
+    """The sha256 of the serialized report of each pair, followed by the
+    report of every nested (S, P) system, is pinned. Between them the
+    nested systems fail at every condition, degenerate projections
+    included, and some pass."""
+    seen = set()
+    for name, pair in _golden_pairs().items():
+        rep = check_cone_pair(pair)
+        nested = [child for _, child in sorted(rep.recursion_reports.items())]
+        docs = [_cone_report_doc(r) for r in [rep] + nested]
+        digest = hashlib.sha256(serialize.dumps(docs).encode()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[name], name
+        for r in [rep] + nested:
+            seen.add(r.first_failed)
+            assert r.q_minus_inertia is None or all(
+                type(k) is int for k in r.q_minus_inertia)
+    assert seen == {None, "degenerate_projection", *CONDITION_ORDER}

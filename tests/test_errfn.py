@@ -3,6 +3,7 @@ derivative/shadow/PDE identities, bound, discontinuity structure."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,3 +360,30 @@ def test_tiny_m_keeps_relative_precision(r):
 def test_tiny_m_pinned_value():
     v = eval_M(arg([[1.0, 0.4], [0.0, 1.0]], [5.0, 6.0]))
     assert v.value == pytest.approx(3.7519520184e-86, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_m_est_error_bounds_the_error_down_to_1e_100(r):
+    # seeded orthogonal frames, |M_r| spread over 1e-0.1 .. 1e-100; the
+    # reference is the erfc product in 30 digits at the float frame and point
+    rng = np.random.default_rng(40 + r)
+    for _ in range(100):
+        q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+        m = q * rng.uniform(0.5, 2.0, size=r)
+        share = rng.uniform(0.5, 1.5, size=r)
+        log_m = -rng.uniform(0.1, 100.0) * math.log(10.0) * share / share.sum()
+        t = np.array([brentq(lambda x, s=s: _log_erfc(x) - s, 1e-12, 40.0) for s in log_m])
+        u = q @ (t * rng.choice([-1.0, 1.0], size=r))
+        v = eval_M(arg(m, u))
+        with mpmath.workdps(30):
+            ref = mpmath.mpf(1)
+            for j in range(r):
+                col = [mpmath.mpf(float(x)) for x in m[:, j]]
+                tj = mpmath.fdot(col, [mpmath.mpf(float(x)) for x in u]) / mpmath.norm(col)
+                ref *= -mpmath.sign(tj) * mpmath.erfc(mpmath.sqrt(mpmath.pi) * abs(tj))
+            assert abs(mpmath.mpf(v.value) - ref) <= v.est_error
+
+
+def test_tiny_m_est_error_is_relative():
+    v = eval_M(arg([[1.0, 0.4], [0.0, 1.0]], [5.0, 6.0]))
+    assert v.est_error <= 1e-12 * abs(v.value)
