@@ -10,6 +10,13 @@ ones through the frame:
 independently of the O(s) gauge freedom in E. The Euclidean wall data pulls
 back to B(d_j, x): the dual coordinates of the reduced frame are exactly
 (E A C)^{-1} E A x = D^T A x.
+
+Every boosted identity is therefore the Euclidean one of the reduced
+argument (_reduced_argument): a sub-cone C_S maps to the m-span of its
+columns, the A-projection of a column off C_S to its projection off that
+span, and Q(x_+) for the A-projection x_+ of x onto span(C) to |E A x|^2.
+The decompositions, the shadow and the bound below are pull-backs of their
+errfn counterparts, which hold the subset algebra.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rational as ra
-from .errfn import (DEFAULT_QUAD, ErrFnArgument, ErrFnValue, QuadratureSpec, _subsets,
-                    _vigneras, eval_E, eval_M)
-from .exceptions import DegenerateGram, NotTimelike
+from .errfn import (DEFAULT_QUAD, ErrFnArgument, ErrFnValue, QuadratureSpec, _vigneras,
+                    bound_check, decompose_E_into_M, decompose_M_into_E, eval_E, eval_M,
+                    shadow)
+from .exceptions import NotTimelike
 from .quadform import BilinearForm, ErrorFunctionFrame
 
 _TOL_FRAME = 1e-10
@@ -53,9 +61,6 @@ class ConeMatrix:
     @property
     def n(self) -> int:
         return self.C.shape[0]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.C[:, j]
 
 
 def _check_timelike(C: np.ndarray, form: BilinearForm):
@@ -135,12 +140,6 @@ class BoostedArgument:
             object.__setattr__(self, "wall_eps", max(1e-9 * float(np.linalg.norm(x)), 1e-12))
 
 
-def project_plus(arg: BoostedArgument) -> np.ndarray:
-    """x_+ = E^T E A x, the A-orthogonal projection of x onto span(C)."""
-    E = arg.cone.E_frame
-    return E.T @ (E @ arg.cone.form.matrix() @ arg.x)
-
-
 def _reduced_argument(arg: BoostedArgument) -> ErrFnArgument:
     cone = arg.cone
     A = cone.form.matrix()
@@ -162,114 +161,32 @@ def eval_M_boosted(arg: BoostedArgument, quad: QuadratureSpec = DEFAULT_QUAD) ->
     return eval_M(_reduced_argument(arg), quad)
 
 
-def perp_columns(C, form: BilinearForm, S, S_prime) -> np.ndarray:
-    """Columns c_j - C_S' (C_S'^T A C_S')^{-1} C_S'^T A c_j for j in S.
-
-    C_S' may have indefinite Gram; it only needs to be nondegenerate
-    (exact determinant test on integral input).
-    """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    A = form.matrix()
-    S = sorted(set(int(j) for j in S))
-    Sp = sorted(set(int(j) for j in S_prime))
-    if not Sp:
-        return C[:, S].copy()
-    Cp = C[:, Sp]
-    G = Cp.T @ A @ Cp
-    if _is_exact_matrix(Cp):
-        Gx = ra.gram(form.exact(), [[ra.as_fraction(int(round(v))) for v in Cp[:, i]]
-                                    for i in range(Cp.shape[1])])
-        if ra.det(Gx) == 0:
-            raise DegenerateGram("C_S' has exactly singular Gram matrix")
-    else:
-        if abs(np.linalg.det(G)) < 1e-12 * max(np.linalg.norm(G), 1.0) ** Cp.shape[1]:
-            raise DegenerateGram("C_S' Gram matrix is numerically singular")
-    coeff = np.linalg.solve(G, Cp.T @ A @ C[:, S])
-    return C[:, S] - Cp @ coeff
-
-
-def perp_cone(cone: ConeMatrix, S, S_prime) -> ConeMatrix:
-    """build_cone of the projected columns; NotTimelike surfaces here when
-    the projection degenerates (e.g. S' = S gives zero columns)."""
-    cols = perp_columns(cone.C, cone.form, S, S_prime)
-    return build_cone(cols, cone.form)
-
-
-def _sub_cone(cone: ConeMatrix, S) -> ConeMatrix:
-    return build_cone(cone.C[:, list(S)], cone.form) if len(S) else \
-        build_cone(np.zeros((cone.n, 0)), cone.form)
-
-
 def boosted_decompositions(arg: BoostedArgument, quad: QuadratureSpec = DEFAULT_QUAD):
     """Both subset decompositions, each summing to the direct evaluation:
 
         M(C;x) = sum_S (-1)^(s-|S|) prod_{j not in S} sign(B(d_j,x)) E(C_S;x)
         E(C;x) = sum_S prod_{j not in S} sign(B((C_{comp perp S})_j, x)) M(C_S;x)
 
-    Returns (m_terms, e_terms); each term carries S, coeff, value, est_error.
+    Returns (m_terms, e_terms), those of decompose_M_into_E and
+    decompose_E_into_M at the reduced argument; each term carries S, coeff,
+    value, est_error.
     """
-    cone, x = arg.cone, arg.x
-    A = cone.form.matrix()
-    s = cone.s
-    d_sign = np.sign(cone.D.T @ A @ x)
-    m_terms = []
-    e_terms = []
-    for S in _subsets(s):
-        comp = tuple(j for j in range(s) if j not in S)
-        sub = _sub_cone(cone, S)
-        sub_arg = BoostedArgument(cone=sub, x=x, wall_eps=arg.wall_eps)
-        coeff_m = (-1.0) ** (s - len(S)) * float(np.prod(d_sign[list(comp)])) if comp else 1.0
-        ev = eval_E_boosted(sub_arg, quad)
-        m_terms.append({"S": S, "coeff": coeff_m, "value": ev.value, "est_error": ev.est_error})
-        if comp:
-            pc = perp_columns(cone.C, cone.form, comp, S)
-            coeff_e = float(np.prod(np.sign(pc.T @ A @ x)))
-        else:
-            coeff_e = 1.0
-        mv = eval_M_boosted(sub_arg, quad)
-        e_terms.append({"S": S, "coeff": coeff_e, "value": mv.value, "est_error": mv.est_error})
-    return m_terms, e_terms
-
-
-def sum_terms(terms) -> ErrFnValue:
-    total = sum(t["coeff"] * t["value"] for t in terms)
-    est = sum(abs(t["coeff"]) * t["est_error"] for t in terms)
-    return ErrFnValue(value=total, imag_residual=0.0, est_error=est)
+    red = _reduced_argument(arg)
+    return decompose_M_into_E(red, quad)[0], decompose_E_into_M(red, quad)[0]
 
 
 def boosted_shadow(arg: BoostedArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValue:
     """sum_j B(c_j,x)/sqrt(Q(c_j)) e^{-pi B(c_j,x)^2/Q(c_j)} E(C_{[s]/j perp j}; x),
-    the stripped-real shadow of E^A (the completion attaches i/2)."""
-    cone, x = arg.cone, arg.x
-    A = cone.form.matrix()
-    total = 0.0
-    est = 0.0
-    for j in range(cone.s):
-        cj = cone.column(j)
-        qc = float(cj @ A @ cj)
-        bj = float(cj @ A @ x)
-        others = tuple(k for k in range(cone.s) if k != j)
-        if others:
-            red = perp_cone(cone, others, (j,))
-            ev = eval_E_boosted(BoostedArgument(cone=red, x=x, wall_eps=arg.wall_eps), quad)
-            v, e = ev.value, ev.est_error
-        else:
-            v, e = 1.0, 0.0
-        w = bj / math.sqrt(qc) * math.exp(-np.pi * bj * bj / qc)
-        total += w * v
-        est += abs(w) * e
-    return ErrFnValue(value=total, imag_residual=0.0, est_error=est)
+    the stripped-real shadow of E^A (the completion attaches i/2): the
+    Euclidean shadow of the reduced argument."""
+    return shadow(_reduced_argument(arg), "E", quad)
 
 
 def boosted_bound_check(arg: BoostedArgument, quad: QuadratureSpec = DEFAULT_QUAD,
                         rhs_scale: float = 1.0):
-    """|M^A(C;x)| <= s! e^{-pi Q(x_+)}; returns (lhs, rhs, ok, est_error)."""
-    res = eval_M_boosted(arg, quad)
-    xp = project_plus(arg)
-    q_plus = float(arg.cone.form.quadratic(xp))
-    rhs = rhs_scale * math.factorial(arg.cone.s) * math.exp(-np.pi * q_plus)
-    lhs = abs(res.value)
-    return lhs, rhs, lhs <= rhs + res.est_error, res.est_error
+    """|M^A(C;x)| <= s! e^{-pi Q(x_+)}, the Euclidean bound of the reduced
+    argument, whose u.u is Q(x_+); returns (lhs, rhs, ok, est_error)."""
+    return bound_check(_reduced_argument(arg), quad, rhs_scale)
 
 
 def vigneras_residual_boosted(arg: BoostedArgument, kind: str = "E", h: float = 1e-3,

@@ -20,8 +20,7 @@ from . import serialize
 from .cones import ConePair, build_a4_example, build_r1_example, check_cone_pair
 from .errfn import (DEFAULT_QUAD, ErrFnArgument, QuadratureSpec, eval_E,
                     eval_E_oracle_mc, eval_M)
-from .exceptions import (BudgetExceeded, NonExactInput, ThetaForgeError,
-                         ValidationError, WallTooClose)
+from .exceptions import BudgetExceeded, ThetaForgeError, ValidationError, WallTooClose
 from .quadform import BilinearForm, ErrorFunctionFrame
 from .theta import ThetaSpec, TruncationPolicy, eval_theta, q_expansion
 from .verify import run_suite
@@ -426,10 +425,6 @@ def main(argv=None) -> int:
         _emit({"error": {"type": "BudgetExceeded", "message": str(exc)},
                "partial": True}, f"budget exhausted: {exc}")
         return EXIT_BUDGET
-    except (ValidationError, NonExactInput) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              f"invalid input: {exc}")
-        return EXIT_INVALID
     except (ValueError, ThetaForgeError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
               f"invalid input: {exc}")

@@ -414,22 +414,22 @@ def _axis_factor(frame: ErrorFunctionFrame, u: np.ndarray, j: int) -> tuple[floa
     return t, math.exp(-np.pi * t * t)
 
 
-def _complement_reduction(frame: ErrorFunctionFrame, u: np.ndarray, j: int):
-    """Rank r-1 data (P M with column j dropped, P u) for the derivative and
-    shadow formulas."""
-    others = tuple(k for k in range(frame.r) if k != j)
-    proj = subset_projectors(frame, others)
-    m_red = proj.P @ frame.m_mat[:, list(others)]
-    return m_red, proj.P @ u
+def _complement(r: int, S) -> tuple[int, ...]:
+    return tuple(j for j in range(r) if j not in S)
 
 
-def _f_reduced(kind: str, m_red: np.ndarray, u_red: np.ndarray, wall_eps: float,
-               quad: QuadratureSpec) -> tuple[float, float]:
-    if m_red.shape[0] == 0:
-        return 1.0, 0.0
-    sub = ErrFnArgument(frame=ErrorFunctionFrame.from_m(m_red), u=u_red, wall_eps=wall_eps)
-    res = eval_M(sub, quad) if kind == "M" else eval_E(sub, quad)
-    return res.value, res.est_error
+def _restrict(arg: ErrFnArgument, S, basis: str, wall_eps: float | None = None) -> ErrFnArgument:
+    """The rank-|S| argument (B M_S; B u) of the frame columns in S, where B
+    holds the orthonormal rows Q_S of their m-span (basis "Q") or P_S of the
+    w-span of S (basis "P"). wall_eps defaults to arg's."""
+    proj = subset_projectors(arg.frame, S)
+    B = proj.Q if basis == "Q" else proj.P
+    return ErrFnArgument(frame=ErrorFunctionFrame.from_m(B @ arg.frame.m_mat[:, list(proj.S)]),
+                         u=B @ arg.u, wall_eps=arg.wall_eps if wall_eps is None else wall_eps)
+
+
+def _eval(kind: str, arg: ErrFnArgument, quad: QuadratureSpec) -> ErrFnValue:
+    return eval_M(arg, quad) if kind == "M" else eval_E(arg, quad)
 
 
 def derivative_M(arg: ErrFnArgument, j: int, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValue:
@@ -451,10 +451,10 @@ def _derivative(arg: ErrFnArgument, j: int, kind: str, quad: QuadratureSpec) -> 
         raise ValueError(f"axis {j} out of range")
     _, gauss = _axis_factor(frame, arg.u, j)
     nrm = float(np.linalg.norm(frame.m(j)))
-    m_red, u_red = _complement_reduction(frame, arg.u, j)
-    v, e = _f_reduced(kind, m_red, u_red, arg.wall_eps, quad)
+    res = _eval(kind, _restrict(arg, _complement(frame.r, (j,)), "P"), quad)
     scale = 2.0 / nrm * gauss
-    return ErrFnValue(value=scale * v, imag_residual=0.0, est_error=abs(scale) * e)
+    return ErrFnValue(value=scale * res.value, imag_residual=0.0,
+                      est_error=abs(scale) * res.est_error)
 
 
 def shadow(arg: ErrFnArgument, kind: str = "E", quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValue:
@@ -472,10 +472,9 @@ def shadow(arg: ErrFnArgument, kind: str = "E", quad: QuadratureSpec = DEFAULT_Q
     est = 0.0
     for j in range(frame.r):
         t, gauss = _axis_factor(frame, arg.u, j)
-        m_red, u_red = _complement_reduction(frame, arg.u, j)
-        v, e = _f_reduced(kind, m_red, u_red, arg.wall_eps, quad)
-        total += t * gauss * v
-        est += abs(t * gauss) * e
+        res = _eval(kind, _restrict(arg, _complement(frame.r, (j,)), "P"), quad)
+        total += t * gauss * res.value
+        est += abs(t * gauss) * res.est_error
     return ErrFnValue(value=total, imag_residual=0.0, est_error=est)
 
 
@@ -490,7 +489,7 @@ def discontinuity_limit(arg: ErrFnArgument, S, approach_signs: dict[int, int],
     frame = arg.frame
     r = frame.r
     S = tuple(sorted(set(int(j) for j in S)))
-    comp = tuple(j for j in range(r) if j not in S)
+    comp = _complement(r, S)
     if not comp:
         raise ValueError("S must be a proper subset")
     if set(approach_signs) != set(comp):
@@ -502,11 +501,9 @@ def discontinuity_limit(arg: ErrFnArgument, S, approach_signs: dict[int, int],
     for j in comp:
         if abs(a[j]) > 1e-7 * scale:
             raise ValueError(f"u is not on the wall stratum: |w_{j} . u| = {abs(a[j]):.3e}")
-    proj = subset_projectors(frame, S)  # the rank-|S| frame Q_S M_S and point Q_S u
-    m_sub, u_sub = proj.Q @ frame.m_mat[:, list(S)], proj.Q @ arg.u
-    v, e = _f_reduced("M", m_sub, u_sub, min(arg.wall_eps, 1e-12), quad)
+    res = eval_M(_restrict(arg, S, "Q", wall_eps=min(arg.wall_eps, 1e-12)), quad)
     coeff = (-1.0) ** (r - len(S)) * float(np.prod([approach_signs[j] for j in comp]))
-    return ErrFnValue(value=coeff * v, imag_residual=0.0, est_error=e)
+    return ErrFnValue(value=coeff * res.value, imag_residual=0.0, est_error=res.est_error)
 
 
 def bound_check(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD,
@@ -559,40 +556,53 @@ def vigneras_residual(arg: ErrFnArgument, kind: str = "E", h: float = 1e-3,
         raise ValueError("kind must be 'M' or 'E'")
 
     def f(u):
-        sub = ErrFnArgument(frame=arg.frame, u=u, wall_eps=arg.wall_eps)
-        return (eval_M(sub, quad) if kind == "M" else eval_E(sub, quad)).value
+        return _eval(kind, ErrFnArgument(frame=arg.frame, u=u, wall_eps=arg.wall_eps), quad).value
 
     return _vigneras(f, arg.u, np.eye(arg.frame.r), h)
+
+
+def sum_terms(terms) -> ErrFnValue:
+    """The sum of coeff * value over decomposition terms, with the
+    |coeff|-weighted sum of their est_error."""
+    total = sum(t["coeff"] * t["value"] for t in terms)
+    est = sum(abs(t["coeff"]) * t["est_error"] for t in terms)
+    return ErrFnValue(value=total, imag_residual=0.0, est_error=est)
 
 
 def decompose_M_into_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD):
     """Wall-crossing expansion M_r = sum_S (-1)^(r-|S|) sign(W_comp^T u) E_|S|.
 
     Returns (terms, total): terms are dicts with the subset, the +-1
-    coefficient, and the E value of the reduced argument. The sum telescopes
-    the discontinuities of the sign coefficients against the smooth E terms.
+    coefficient, and the E value of the reduced argument (Q_S M_S; Q_S u)
+    with its est_error. The sum telescopes the discontinuities of the sign
+    coefficients against the smooth E terms.
     """
-    frame, u = arg.frame, arg.u
-    r = frame.r
+    r = arg.frame.r
     a = wall_distances(arg)
     _check_walls(a, arg.wall_eps)
     terms = []
-    total = 0.0
-    est = 0.0
     for S in _subsets(r):
-        comp = tuple(j for j in range(r) if j not in S)
-        coeff = (-1.0) ** (r - len(S)) * float(np.prod(np.sign(a[list(comp)]))) if comp \
-            else 1.0
-        proj = subset_projectors(frame, S)
-        m_sub, u_sub = proj.Q @ frame.m_mat[:, list(S)], proj.Q @ u
-        if len(S):
-            sub = ErrFnArgument(frame=ErrorFunctionFrame.from_m(m_sub), u=u_sub,
-                                wall_eps=arg.wall_eps)
-            ev = eval_E(sub, quad)
-            val, e = ev.value, ev.est_error
-        else:
-            val, e = 1.0, 0.0
-        terms.append({"S": S, "coeff": coeff, "value": val, "est_error": e})
-        total += coeff * val
-        est += e
-    return terms, ErrFnValue(value=total, imag_residual=0.0, est_error=est)
+        comp = _complement(r, S)
+        coeff = (-1.0) ** len(comp) * float(np.prod(np.sign(a[list(comp)])))
+        ev = eval_E(_restrict(arg, S, "Q"), quad)
+        terms.append({"S": S, "coeff": coeff, "value": ev.value, "est_error": ev.est_error})
+    return terms, sum_terms(terms)
+
+
+def decompose_E_into_M(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD):
+    """The reverse expansion E_r = sum_S prod_{j not in S} sign(P m_j . P u) M_|S|,
+    with P = P_comp the w-span of the complement of S: the signs are those of
+    the complement columns projected off span(M_S).
+
+    Returns (terms, total) shaped as in decompose_M_into_E, with the M value
+    of the reduced argument (Q_S M_S; Q_S u). Each M term jumps across the
+    walls of its coefficient; the sum is continuous.
+    """
+    r = arg.frame.r
+    terms = []
+    for S in _subsets(r):
+        red = _restrict(arg, _complement(r, S), "P")
+        coeff = float(np.prod(np.sign(red.frame.m_mat.T @ red.u)))
+        mv = eval_M(_restrict(arg, S, "Q"), quad)
+        terms.append({"S": S, "coeff": coeff, "value": mv.value, "est_error": mv.est_error})
+    return terms, sum_terms(terms)

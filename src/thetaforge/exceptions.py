@@ -30,10 +30,6 @@ class NotTimelike(ThetaForgeError):
     """Cone columns do not span a positive definite subspace."""
 
 
-class DegenerateGram(ThetaForgeError):
-    """Projection requested against a subset with singular Gram matrix."""
-
-
 class NonExactInput(ThetaForgeError):
     """Exact-arithmetic operation received a float where a rational is required."""
 

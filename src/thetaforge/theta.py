@@ -184,24 +184,9 @@ def _tree_sum(arr: np.ndarray) -> complex:
     return complex(v[0]) if v.shape[0] else 0.0 + 0.0j
 
 
-def _is_exact_vector(x) -> bool:
-    return all(isinstance(v, (int, Fraction, np.integer)) for v in x)
-
-
-def kernel_phi(pair: ConePair, x):
-    """phi_r(x) = 2^{-r} prod_j [sign B(c_j,x) - sign B(c'_j,x)], exact
-    Fraction for exact input, float otherwise; sign(0) = 0."""
-    if _is_exact_vector(x):
-        Ax = ra.mat_vec(pair.form.exact(), [ra.as_fraction(v) for v in x])
-        prod = Fraction(1)
-        for c, cp in zip(pair.C, pair.C_prime):
-            s1 = ra.dot(c, Ax)
-            s2 = ra.dot(cp, Ax)
-            f = ((s1 > 0) - (s1 < 0)) - ((s2 > 0) - (s2 < 0))
-            if f == 0:
-                return Fraction(0)
-            prod *= Fraction(f, 2)
-        return prod
+def kernel_phi(pair: ConePair, x) -> float:
+    """phi_r(x) = 2^{-r} prod_j [sign B(c_j,x) - sign B(c'_j,x)] at a point x,
+    taken as floats; sign(0) = 0."""
     xf = np.asarray(x, dtype=float)
     Af = pair.form.matrix()
     Cf = np.array([[float(v) for v in col] for col in pair.C]).T
@@ -334,8 +319,11 @@ def _phi_hat_r1(rt: _PairRuntime, X: np.ndarray) -> np.ndarray:
     return 0.5 * (erf(math.sqrt(math.pi) * b1) - erf(math.sqrt(math.pi) * b2))
 
 
-class _CountExceeded(Exception):
-    pass
+class _CountExceeded(BudgetExceeded):
+    """An enumeration found more points than its budget; no partial value."""
+
+    def __init__(self, msg: str = "lattice enumeration exceeds max_points"):
+        super().__init__(msg)
 
 
 # Most nodes of one layer that the enumerator builds at once, so memory
@@ -372,7 +360,8 @@ def _enumerate_shifts(U: np.ndarray, t: np.ndarray, radius: float, max_points: i
         center = -t[i] - shift[:, i] / uii
         half = np.sqrt(rem2) / abs(uii)
         if not (np.abs(center) + half < _SPAN).all():
-            raise _CountExceeded
+            raise _CountExceeded(
+                f"an interval at radius {radius:.6g} is not finite or reaches past 2^45")
         lo = np.ceil(center - half - 1e-12).astype(np.int64)
         counts = np.maximum(np.floor(center + half + 1e-12).astype(np.int64) - lo + 1, 0)
         ends = counts.cumsum()
@@ -395,7 +384,8 @@ def _enumerate_shifts(U: np.ndarray, t: np.ndarray, radius: float, max_points: i
                 ok = v * v <= (rem2 + 1e-12)[par]
                 count += int(np.count_nonzero(ok))
                 if count > max_points:
-                    raise _CountExceeded
+                    raise _CountExceeded(
+                        f"more than {max_points} points within radius {radius:.6g}")
                 rows = prefix[par[ok]]
                 rows[:, 0] = mi[ok]
                 found.append(rows)
@@ -445,11 +435,14 @@ def _shell_tail(a: float, R: float, d: float, n: int, covol: float) -> float:
 def enumerate_lattice(spec: ThetaSpec, radius: float, max_points: int = 10_000_000) -> np.ndarray:
     """Integer shifts m such that P_+(m + offset + b) <= radius^2, where the
     summation variable is k = m + offset, offset = mu + p/2. Deterministic
-    lexicographic order."""
+    lexicographic order. Raises BudgetExceeded (without a partial value)
+    where more than max_points points lie within the radius."""
     if not (math.isfinite(radius) and radius >= 0):
         raise ValidationError(f"radius must be finite and non-negative, got {radius}")
+    if max_points < 1:
+        raise ValidationError("max_points must be positive")
     t = np.array([float(o) for o in spec.offset]) + spec.b
-    return _enumerate_shifts(_pair_runtime(spec.pair).chol_u, t, radius, max_points)
+    return _enumerate_budgeted(_pair_runtime(spec.pair), t, radius, max_points)
 
 
 def _holo_phi_vals(rt: _PairRuntime, Y: np.ndarray):
@@ -572,7 +565,8 @@ def _enumerate_budgeted(rt: _PairRuntime, t: np.ndarray, R: float, max_points: i
     """_enumerate_shifts in the pair's frame; raises _CountExceeded without
     enumerating where the count floor already exceeds max_points."""
     if _log_count_floor(rt, R) > math.log(max_points) + 1e-9:
-        raise _CountExceeded
+        raise _CountExceeded(f"the volume floor puts more than {max_points} points "
+                             f"within radius {R:.6g}")
     return _enumerate_shifts(rt.chol_u, t, R, max_points)
 
 

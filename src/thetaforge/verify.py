@@ -28,13 +28,13 @@ import numpy as np
 from . import rational as ra
 from .boosted import (BoostedArgument, boosted_bound_check, boosted_decompositions,
                       boosted_shadow, build_cone, eval_E_boosted, eval_M_boosted,
-                      sum_terms, vigneras_residual_boosted)
+                      vigneras_residual_boosted)
 from .cones import (ConePair, build_a4_example, build_r1_example, check_cone_pair,
                     det_identity_residual)
-from .errfn import (DEFAULT_QUAD, ErrFnArgument, QuadratureSpec, bound_check,
-                    decompose_M_into_E, derivative_E, derivative_M,
-                    discontinuity_limit, eval_E, eval_E_oracle_mc, eval_M,
-                    eval_M_contour, shadow, vigneras_residual)
+from .errfn import (ErrFnArgument, QuadratureSpec, bound_check, decompose_E_into_M,
+                    decompose_M_into_E, derivative_E, derivative_M, discontinuity_limit,
+                    eval_E, eval_E_oracle_mc, eval_M, eval_M_contour, shadow, sum_terms,
+                    vigneras_residual)
 from .exceptions import GenericityViolated, ValidationError
 from .quadform import BilinearForm, ErrorFunctionFrame
 from .theta import (ThetaSpec, TruncationPolicy, discriminant_group, enumerate_lattice,
@@ -64,9 +64,7 @@ class SignLemmaInstance:
             raise ValidationError("G must be positive definite")
         object.__setattr__(self, "G", tuple(tuple(row) for row in Ge))
         object.__setattr__(self, "v", tuple(ve))
-        for args in _lemma_sign_args(Ge, ve, tuple(range(n))):
-            if any(a == 0 for a in args):
-                raise GenericityViolated("a lemma sign argument vanishes exactly")
+        _sign_sum(Ge, ve, tuple(range(n)), "a lemma sign argument vanishes exactly")
 
     @property
     def n(self) -> int:
@@ -93,19 +91,24 @@ def _lemma_sign_args(G, v, N):
             yield head + tail
 
 
-def sign_lemma_sum(inst: SignLemmaInstance) -> int:
-    """Exact subset sum of the lemma; 0 for every valid instance."""
-    G = [list(r) for r in inst.G]
-    v = list(inst.v)
+def _sign_sum(G, v, N, vanishing: str) -> int:
+    """Sum over S subseteq N of the product of the signs of the lemma
+    arguments; raises GenericityViolated(vanishing) at the first exact zero."""
     total = 0
-    for args in _lemma_sign_args(G, v, tuple(range(inst.n))):
+    for args in _lemma_sign_args(G, v, N):
         if any(a == 0 for a in args):
-            raise GenericityViolated("a lemma sign argument vanishes exactly")
+            raise GenericityViolated(vanishing)
         prod = 1
         for a in args:
             prod *= _sign(a)
         total += prod
     return total
+
+
+def sign_lemma_sum(inst: SignLemmaInstance) -> int:
+    """Exact subset sum of the lemma; 0 for every valid instance."""
+    return _sign_sum([list(r) for r in inst.G], list(inst.v), tuple(range(inst.n)),
+                     "a lemma sign argument vanishes exactly")
 
 
 def _rationalize_matrix(M: np.ndarray):
@@ -130,15 +133,7 @@ def sign_identity_specialized(frame: ErrorFunctionFrame, u, N) -> int:
     G = ra.mat_mul(ra.transpose(We), We)
     ue = [Fraction(float(x)) for x in np.atleast_1d(np.asarray(u, dtype=float))]
     v = ra.mat_vec(ra.transpose(We), ue)
-    total = 0
-    for args in _lemma_sign_args(G, v, N):
-        if any(a == 0 for a in args):
-            raise GenericityViolated("a specialized sign argument vanishes exactly")
-        prod = 1
-        for a in args:
-            prod *= _sign(a)
-        total += prod
-    return total
+    return _sign_sum(G, v, N, "a specialized sign argument vanishes exactly")
 
 
 @dataclass(frozen=True)
@@ -375,33 +370,6 @@ def _check_discontinuity_m(rng, full):
     return worst, 1e-6, ""
 
 
-def _prop39_terms(frame: ErrorFunctionFrame, u: np.ndarray):
-    """E-decomposition terms, rebuilt from projector primitives: per subset S
-    the complementary sign product times the reduced M value (with est)."""
-    from .quadform import subset_projectors
-    r = frame.r
-    out = []
-    for size in range(r + 1):
-        for S in combinations(range(r), size):
-            comp = tuple(j for j in range(r) if j not in S)
-            coeff = 1.0
-            if comp:
-                P = subset_projectors(frame, comp).P
-                Pu = P @ u
-                for j in comp:
-                    coeff *= float(np.sign((P @ frame.m(j)) @ Pu))
-            if size == 0:
-                val, est = 1.0, 0.0
-            else:
-                Q = subset_projectors(frame, S).Q
-                sub = ErrFnArgument(frame=ErrorFunctionFrame.from_m(Q @ frame.m_mat[:, list(S)]),
-                                    u=Q @ u)
-                res = eval_M(sub)
-                val, est = res.value, res.est_error
-            out.append((S, coeff, val, est))
-    return out
-
-
 def _check_discontinuity_e_cancellation(rng, full):
     # E itself is continuous: the delta -> 0 extrapolated jump of the term-sum
     # vanishes even though individual M-terms of the decomposition jump by
@@ -421,10 +389,10 @@ def _check_discontinuity_e_cancellation(rng, full):
             jumps[d] = p.value - q.value
             est_tot += p.est_error + q.est_error
         extrapolated = abs(2.0 * jumps[delta / 2.0] - jumps[delta])
-        term_p = _prop39_terms(frame, u0 + delta * wn)
-        term_q = _prop39_terms(frame, u0 - delta * wn)
-        term_jump = max(abs(cp * vp - cq * vq)
-                        for (_, cp, vp, _), (_, cq, vq, _) in zip(term_p, term_q))
+        term_p, _ = decompose_E_into_M(ErrFnArgument(frame=frame, u=u0 + delta * wn))
+        term_q, _ = decompose_E_into_M(ErrFnArgument(frame=frame, u=u0 - delta * wn))
+        term_jump = max(abs(p["coeff"] * p["value"] - q["coeff"] * q["value"])
+                        for p, q in zip(term_p, term_q))
         if term_jump < 1e-12:
             return 1.0, 0.0, "wall instance has no jumping M-term; check is vacuous"
         tolerance = max(2.0 * est_tot, 1e-8)
@@ -681,7 +649,7 @@ def _check_theta_elliptic(rng, full):
 def _check_theta_convergence_witness(rng, full):
     # sum of |terms| is monotone in R; increments bounded by the tail estimate
     spec = _theta_spec(tau=0.3 + 1.0j, b=np.array([0.1, 0.2]), c=np.array([-0.15, 0.05]))
-    from .theta import _pair_runtime, _assemble_value, _shell_tail
+    from .theta import _holo_phi_vals, _pair_runtime, _shell_tail
     rt = _pair_runtime(spec.pair)
     t = np.array([float(o) for o in spec.offset]) + spec.b
     a = math.pi * spec.tau.imag * rt.gamma_holo
@@ -690,9 +658,7 @@ def _check_theta_convergence_witness(rng, full):
         pts = enumerate_lattice(spec, R)
         Y = pts + t
         Qy = np.einsum("ki,ij,kj->k", Y, rt.A, Y)
-        s1 = Y @ (rt.A @ rt.C)
-        s2 = Y @ (rt.A @ rt.Cp)
-        phi = np.prod((np.sign(s1) - np.sign(s2)) / 2.0, axis=1)
+        phi, _ = _holo_phi_vals(rt, Y)
         sup = phi != 0.0
         sums.append(float(np.sum(np.abs(phi[sup])
                                  * np.exp(math.pi * spec.tau.imag * Qy[sup]))))

@@ -1,6 +1,7 @@
 """Boosted error functions on indefinite forms."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,17 +9,26 @@ from scipy.special import erf
 
 from thetaforge.boosted import (BoostedArgument, ConeMatrix, boosted_bound_check,
                                 boosted_decompositions, boosted_shadow, build_cone,
-                                eval_E_boosted, eval_M_boosted, perp_columns,
-                                perp_cone, project_plus, sum_terms,
-                                vigneras_residual_boosted)
-from thetaforge.errfn import ErrFnArgument, eval_E, eval_M
-from thetaforge.exceptions import DegenerateGram, NotTimelike
+                                eval_E_boosted, eval_M_boosted, vigneras_residual_boosted)
+from thetaforge.errfn import ErrFnArgument, eval_E, eval_M, sum_terms
+from thetaforge.exceptions import NotTimelike
 from thetaforge.quadform import BilinearForm, ErrorFunctionFrame
 
 A11 = BilinearForm.from_rows([[1, 0], [0, -1]])
 A22 = BilinearForm.from_rows([[2, 0, 1, 0], [0, 1, 0, 0],
                               [1, 0, -1, 0], [0, 0, 0, -3]])
 C22 = np.array([[1.0, 0.2], [0.3, 1.1], [0.2, 0.1], [0.1, -0.2]])
+SIG22 = BilinearForm.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+CONE22 = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 0.0], [0.0, -1.0]])
+
+
+def project_off(C, form, cols, S):
+    """Columns C[:, cols] minus their A-orthogonal projection onto span C[:, S]."""
+    A, Cc = form.matrix(), C[:, list(cols)]
+    if not S:
+        return Cc
+    CS = C[:, list(S)]
+    return Cc - CS @ np.linalg.solve(CS.T @ A @ CS, CS.T @ A @ Cc)
 
 
 def test_euclidean_reduction():
@@ -41,28 +51,9 @@ def test_signature_11_closed_form():
     assert v.value == pytest.approx(erf(math.sqrt(math.pi) * 0.63), abs=1e-12)
 
 
-def test_project_plus_kills_negative_part():
-    cone = build_cone(np.array([[1.0], [0.0]]), A11)
-    xp = project_plus(BoostedArgument(cone=cone, x=np.array([3.0, 7.0])))
-    assert np.allclose(xp, [3.0, 0.0])
-
-
 def test_not_timelike_rejected():
     with pytest.raises(NotTimelike):
         build_cone(np.array([[0.0], [1.0]]), A11)
-
-
-def test_perp_columns_euclidean_example():
-    A2 = BilinearForm.from_rows(np.eye(2, dtype=int).tolist())
-    pc = perp_columns(np.array([[1.0, 1.0], [0.0, 1.0]]), A2, (1,), (0,))
-    got = pc.ravel() / np.linalg.norm(pc)
-    assert np.allclose(np.abs(got), [0.0, 1.0], atol=1e-12)
-
-
-def test_degenerate_gram_rejected():
-    # c_1 = (1,1) is a null vector of diag(1,-1)
-    with pytest.raises(DegenerateGram):
-        perp_columns(np.array([[1.0, 1.0], [1.0, 0.0]]), A11, (1,), (0,))
 
 
 def test_decompositions_close():
@@ -71,6 +62,37 @@ def test_decompositions_close():
     m_terms, e_terms = boosted_decompositions(a)
     assert sum_terms(m_terms).value == pytest.approx(eval_M_boosted(a).value, abs=1e-9)
     assert sum_terms(e_terms).value == pytest.approx(eval_E_boosted(a).value, abs=1e-9)
+
+
+@pytest.mark.parametrize("C,form", [(C22, A22), (CONE22, SIG22)])
+def test_pullback_terms_match_x_space_subcones(C, form):
+    """Every term of both decompositions equals its x-space definition: the
+    sub-cones C_S, and the complement columns A-projected off C_S."""
+    A = form.matrix()
+    cone = build_cone(C, form)
+    s = cone.s
+    subsets = [S for k in range(s + 1) for S in combinations(range(s), k)]
+    comps = {S: tuple(j for j in range(s) if j not in S) for S in subsets}
+    rng = np.random.default_rng(8)
+    done = 0
+    while done < 25:
+        x = rng.normal(size=4)
+        sub_duals = [build_cone(C[:, list(S)], form).D.T @ A @ x for S in subsets if S]
+        perp_args = [project_off(C, form, comps[S], S).T @ A @ x for S in subsets if comps[S]]
+        if min(np.min(np.abs(v)) for v in sub_duals + perp_args) < 0.05:
+            continue
+        done += 1
+        d_sign = np.sign(cone.D.T @ A @ x)
+        m_terms, e_terms = boosted_decompositions(BoostedArgument(cone=cone, x=x))
+        for S, tm, te in zip(subsets, m_terms, e_terms):
+            comp = comps[S]
+            sub = BoostedArgument(cone=build_cone(C[:, list(S)], form), x=x)
+            coeff_m = (-1.0) ** len(comp) * float(np.prod(d_sign[list(comp)]))
+            coeff_e = float(np.prod(np.sign(project_off(C, form, comp, S).T @ A @ x)))
+            assert tm["S"] == S and te["S"] == S
+            assert tm["coeff"] == coeff_m and te["coeff"] == coeff_e
+            assert tm["value"] == pytest.approx(eval_E_boosted(sub).value, abs=1e-12)
+            assert te["value"] == pytest.approx(eval_M_boosted(sub).value, abs=1e-12)
 
 
 def test_gauge_invariance():
@@ -98,7 +120,7 @@ def test_shadow_matches_reduced_formula():
         cj = C22[:, j]
         qc = cj @ AM @ cj
         bj = cj @ AM @ x
-        red = perp_cone(cone, tuple(k for k in range(2) if k != j), (j,))
+        red = build_cone(project_off(C22, A22, (1 - j,), (j,)), A22)
         ev = eval_E_boosted(BoostedArgument(cone=red, x=x))
         manual += bj / math.sqrt(qc) * math.exp(-math.pi * bj * bj / qc) * ev.value
     assert boosted_shadow(a).value == pytest.approx(manual, abs=1e-9)

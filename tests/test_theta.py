@@ -238,6 +238,24 @@ def test_enumeration_budget_boundary():
         eval_theta(spec, TruncationPolicy(tol=1e-10, max_points=full.n_points - 1))
 
 
+def test_enumerate_lattice_overrun_is_budget_exceeded(monkeypatch):
+    spec = hyp_spec(b=(0.1, 0.2))
+    n_pts = enumerate_lattice(spec, 6.0).shape[0]
+    with pytest.raises(BudgetExceeded) as exc_info:
+        enumerate_lattice(spec, 6.0, max_points=n_pts - 1)
+    assert exc_info.value.partial is None
+    with pytest.raises(ValidationError):
+        enumerate_lattice(spec, 6.0, max_points=0)
+
+    # pi 10^12 points cannot fit 1000: the count floor refuses before enumerating
+    def never(*args):
+        raise AssertionError("enumerated past the count floor")
+
+    monkeypatch.setattr(theta, "_enumerate_shifts", never)
+    with pytest.raises(BudgetExceeded):
+        enumerate_lattice(spec, 1e6, max_points=1000)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"tol": math.nan}, {"tol": math.inf}, {"tol": -math.inf}, {"tol": 0.0},
     {"initial_radius": math.nan}, {"initial_radius": math.inf},
