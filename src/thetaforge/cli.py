@@ -12,7 +12,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfcx, ndtr, owens_t
@@ -283,16 +284,22 @@ def _subsets(r: int):
 
 def _bvn_lower(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """P(X < h, Y < k) for standard normals of correlation rho, elementwise
-    (Owen 1956), exact where h or k is 0."""
+    on arrays of one shape (Owen 1956), exact where h or k is 0. The zero
+    cases are patched in only where some argument is 0."""
     s = np.sqrt((1.0 - rho) * (1.0 + rho))
 
     def arm(h, k):  # T(h, (k - rho h) / (h s)), with its h -> 0+ limit at h = 0
         on = h == 0.0
+        if not on.any():
+            return owens_t(h, (k - rho * h) / (h * s))
         return np.where(on, 0.25 * np.sign(k), owens_t(h, (k - rho * h) / np.where(on, 1.0, h * s)))
 
     beta = 0.5 * ((h < 0.0) != (k < 0.0))  # Owen's 1/2 where h k < 0, or h k = 0 > h + k
     p = 0.5 * (ndtr(h) + ndtr(k)) - arm(h, k) - arm(k, h) - beta
-    return np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(rho) / (2.0 * np.pi), p)
+    both = (h == 0.0) & (k == 0.0)
+    if not both.any():
+        return p
+    return np.where(both, 0.25 + np.arcsin(rho) / (2.0 * np.pi), p)
 
 
 def _gl_normal(upper, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,13 +311,14 @@ def _gl_normal(upper, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, half * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * np.pi)
 
 
-def _conditioned_cholesky(h: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, L), X ~ N(0, R) = L Z reordered so that each of the len(h) - 2
-    coordinates conditioned on first has the smallest largest |correlation|
-    with the rest, given those before it: the bivariate limits left at the
-    end then move slowly with them, and the integrand stays smooth."""
-    K, rest, order = R.copy(), list(range(len(h))), []
-    for _ in range(len(h) - 2):
+def _conditioned_cholesky(R: np.ndarray) -> tuple[list, np.ndarray]:
+    """(order, L), X ~ N(0, R) reordered by order as X = L Z, so that each of
+    the len(R) - 2 coordinates conditioned on first has the smallest largest
+    |correlation| with the rest, given those before it: the bivariate limits
+    left at the end then move slowly with them, and the integrand stays
+    smooth."""
+    K, rest, order = R.copy(), list(range(len(R))), []
+    for _ in range(len(R) - 2):
         sub = K[np.ix_(rest, rest)]
         corr = np.abs(sub) / np.sqrt(np.outer(np.diag(sub), np.diag(sub)))
         np.fill_diagonal(corr, 0.0)
@@ -318,7 +326,7 @@ def _conditioned_cholesky(h: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.
         order.append(j)
         K = K - np.outer(K[:, j], K[j]) / K[j, j]
     order += rest
-    return h[order], np.linalg.cholesky(R[np.ix_(order, order)])
+    return order, np.linalg.cholesky(R[np.ix_(order, order)])
 
 
 def _orthant_rows(h: np.ndarray, L: np.ndarray, n: int):
@@ -344,9 +352,99 @@ def _orthant_rows(h: np.ndarray, L: np.ndarray, n: int):
     return lim[0], lim[1], np.full(lim.shape[1], K[0, 1] / (sd[0] * sd[1])), wt[keep]
 
 
+@lru_cache(maxsize=None)
+def _pair_index(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j of range(r), read-only."""
+    i, j = np.array(list(combinations(range(r), 2)), dtype=int).reshape(-1, 2).T
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+class OrthantPlan(NamedTuple):
+    """The part of E_r that depends on the frame only, through the
+    correlation R of z, for F frames of one rank r whose coordinates h sit
+    side by side in a row of F r entries: the pairs i < j of each frame as
+    indices (i, j) into that row with their correlations rho, and for each
+    frame a tuple with, for each subset T of three or more coordinates, its
+    conditioning order (as indices into the row), Cholesky factor and
+    coefficient (-2)^|T|."""
+
+    r: int
+    i: np.ndarray
+    j: np.ndarray
+    rho: np.ndarray
+    orthants: tuple
+
+    def bivariate_count(self, nodes: int) -> int:
+        """Bivariate orthant probabilities that eval_E_rows evaluates per
+        point with one rule of nodes Gauss-Legendre nodes."""
+        return self.rho.size + sum(nodes ** (len(idx) - 2)
+                                   for frame in self.orthants for idx, _, _ in frame)
+
+
+def orthant_plan(R: np.ndarray) -> OrthantPlan:
+    """The OrthantPlan of a stack R (F x r x r) of correlation matrices;
+    raises RankTooLarge past MAX_RANK."""
+    F, r = len(R), R.shape[2]
+    if r > MAX_RANK:
+        raise RankTooLarge(f"rank {r} exceeds direct evaluation cap {MAX_RANK}")
+    i, j = _pair_index(r)
+    rho = R[:, i, j].ravel()
+    orthants = tuple(tuple(_frame_orthants(R[f], f * r)) for f in range(F)) if r > 2 else ((),) * F
+    if F > 1:
+        i, j = ((r * np.arange(F)[:, None] + k).ravel() for k in (i, j))
+    return OrthantPlan(r, i, j, rho, orthants)
+
+
+def _frame_orthants(R: np.ndarray, offset: int):
+    """(order + offset, L, (-2)^|T|) for each subset T of three or more
+    coordinates of the correlation matrix R."""
+    for size in range(3, len(R) + 1):
+        for T in combinations(range(len(R)), size):
+            order, L = _conditioned_cholesky(R[np.ix_(T, T)])
+            yield offset + np.array(T)[order], L, (-2.0) ** size
+
+
+def eval_E_rows(plan: OrthantPlan, H: np.ndarray,
+                rules: tuple = (DEFAULT_QUAD.nodes_per_axis,)) -> np.ndarray:
+    """E_r = 1 - 2 sum_j ndtr(h_j) + 4 sum_{i<j} P2(h_i, h_j; rho_ij)
+    + sum_{|T|>=3} (-2)^|T| P(z_T < 0), where P(z_j < 0) = ndtr(h_j), for
+    every frame f of the plan at each of the N >= 1 rows of H (N x F r, the
+    h of frame f in columns f r to f r + r - 1), once per Gauss-Legendre
+    node count in rules: an array of shape (len(rules), N, F).
+
+    Every row goes through the same operations whatever the other rows, so
+    its values do not depend on them. All N * plan.bivariate_count(nodes)
+    bivariate orthant probabilities of a rule are evaluated at once: a
+    caller with many points passes them in pieces. The orthant rows of
+    three and four coordinates are built point by point.
+    """
+    F, n = len(plan.orthants), len(H)
+    p2 = _bvn_lower(H[:, plan.i].ravel(), H[:, plan.j].ravel(),
+                    plan.rho[None].repeat(n, axis=0).ravel())
+    base = (1.0 - 2.0 * np.add.reduce(ndtr(H).reshape(n, F, -1), axis=2)
+            + 4.0 * np.add.reduce(p2.reshape(n, F, -1), axis=2))
+    sums = base[None].repeat(len(rules), axis=0)
+    if plan.r < 3:
+        return sums
+    rows = [(rule, k, f, coeff, _orthant_rows(H[k, idx], L, nodes))
+            for k in range(n)
+            for f, frame in enumerate(plan.orthants)
+            for idx, L, coeff in frame
+            for rule, nodes in enumerate(rules)]
+    p = _bvn_lower(*(np.concatenate([row[c] for *_, row in rows]) for c in range(3)))
+    at = 0
+    for rule, k, f, coeff, row in rows:
+        sums[rule, k, f] += coeff * float(row[3] @ p[at:at + row[3].size])
+        at += row[3].size
+    return sums
+
+
 def eval_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValue:
     """E_r = sum_T (-2)^|T| P(z_T < 0), z ~ N(M^T u, M^T M / 2 pi), by one
     deterministic route at every point, walls included; it never samples.
+    The one-point, one-frame caller of eval_E_rows.
 
     est_error is the gap to the rule at half of nodes_per_axis, plus
     4e-15 * 3^r for rounding (3^r = sum over T of 2^|T|; converged values
@@ -357,25 +455,11 @@ def eval_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValu
     if r == 0:
         return ErrFnValue(1.0, 0.0, 0.0)
     m_mat, n = arg.frame.m_mat, quad.nodes_per_axis
-    norms = np.linalg.norm(m_mat, axis=0)
+    norms = np.sqrt(np.add.reduce(m_mat * m_mat, axis=0))
     h = -math.sqrt(2.0 * np.pi) * (m_mat.T @ arg.u) / norms  # P(z_j < 0) = ndtr(h_j)
-    R = (m_mat.T @ m_mat) / np.outer(norms, norms)
-    i, j = np.array(list(combinations(range(r), 2)), dtype=int).reshape(-1, 2).T
-    base = 1.0 - 2.0 * float(ndtr(h).sum()) + 4.0 * float(_bvn_lower(h[i], h[j], R[i, j]).sum())
-    orthants = []
-    for size in range(3, r + 1):
-        for T in combinations(range(r), size):
-            hT, L = _conditioned_cholesky(h[list(T)], R[np.ix_(T, T)])
-            orthants += [(rule, (-2.0) ** size, _orthant_rows(hT, L, nodes))
-                         for rule, nodes in enumerate((n, max(n // 2, 8)))]
-    sums, start = [base, base], 0
-    if orthants:
-        p = _bvn_lower(*(np.concatenate([rows[c] for _, _, rows in orthants]) for c in range(3)))
-        for rule, coeff, rows in orthants:
-            sums[rule] += coeff * float(rows[3] @ p[start:start + rows[3].size])
-            start += rows[3].size
-    return ErrFnValue(value=sums[0], imag_residual=0.0,
-                      est_error=abs(sums[0] - sums[1]) + 3.0 ** r * 4e-15)
+    plan = orthant_plan(((m_mat.T @ m_mat) / (norms[:, None] * norms))[None])
+    full, half = eval_E_rows(plan, h[None], (n, max(n // 2, 8)))[:, 0, 0].tolist()
+    return ErrFnValue(value=full, imag_residual=0.0, est_error=abs(full - half) + 3.0 ** r * 4e-15)
 
 
 def eval_E_oracle_mc(arg: ErrFnArgument, n_samples: int, seed: int) -> ErrFnValue:

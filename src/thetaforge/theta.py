@@ -42,10 +42,11 @@ from scipy.linalg import eigh as generalized_eigh
 from scipy.special import erf, gammaincc, gamma as gamma_fn
 
 from . import rational as ra
-from .boosted import BoostedArgument, build_cone, eval_E_boosted
+from .boosted import build_cone
 from .cones import ConePair, ConeSystemReport, check_cone_pair
+from .errfn import DEFAULT_QUAD, eval_E_rows, orthant_plan
 from .exceptions import BudgetExceeded, ValidationError
-from .quadform import BilinearForm
+from .quadform import BilinearForm, ErrorFunctionFrame
 
 WALL_HIT_CAP = 1000
 
@@ -204,8 +205,10 @@ def _majorant(A: np.ndarray):
 
 class _PairRuntime:
     """Float-side data derived from an exact cone certificate, cached per
-    pair: majorant frame, decay rates, and the 2^r completion cones. It holds
-    no reference to the pair, so the weak cache entry dies with the pair."""
+    pair: majorant frame, decay rates and, built on the first completed
+    kernel call at r != 1, the completion data of the 2^r cones C^P
+    (completion()). It holds no reference to the pair, so the weak cache
+    entry and all of this data die with the pair."""
 
     def __init__(self, pair: ConePair, report: ConeSystemReport):
         self.form = pair.form
@@ -224,7 +227,7 @@ class _PairRuntime:
         self.q_minus = np.array([[float(v) for v in row] for row in report.q_minus])
         self.gamma_holo = self._min_gen_eig(-self.q_minus)
         self.gamma_hat, self.K_hat = self._completed_sectors()
-        self._p_cones = None
+        self._completion = None
 
     def _min_gen_eig(self, G: np.ndarray) -> float:
         vals = generalized_eigh(0.5 * (G + G.T), self.P_plus, eigvals_only=True)
@@ -257,18 +260,38 @@ class _PairRuntime:
             gammas.append(self._min_gen_eig(G))
         return min(gammas), K
 
-    def p_cones(self):
-        if self._p_cones is None:
-            cones = {}
+    def completion(self):
+        """(H, plan, signs, step) for the cones C^P, P in mask order, each
+        built by build_cone with frame E: E^A(C^P; x) = E_r(E A C^P; E A x),
+        so the coordinates h = -sqrt(2 pi) (E A C^P)^T E A x / |columns of
+        E A C^P| that eval_E_rows takes are x @ H_P.T. H stacks the r x n
+        maps H_P (2^r r rows), plan is the orthant plan of the 2^r frames
+        E A C^P, signs holds the (-1)^|P| and step is the number of points
+        per eval_E_rows call (see _KERNEL_ROWS). Built once, on first use."""
+        if self._completion is None:
+            maps, corr, signs = [], [], []
             for mask in range(2 ** self.r):
-                P = tuple(j for j in range(self.r) if mask >> j & 1)
-                cols = np.column_stack(
-                    [self.Cp[:, j] if j in P else self.C[:, j] for j in range(self.r)]) \
-                    if self.r else np.zeros((self.n, 0))
-                cones[P] = build_cone(cols, self.form)
-            self._p_cones = cones
-        return self._p_cones
+                on_p = [bool(mask >> j & 1) for j in range(self.r)]
+                cone = build_cone(np.where(on_p, self.Cp, self.C), self.form)
+                EA = cone.E_frame @ self.A
+                m = ErrorFunctionFrame.from_m(EA @ cone.C).m_mat
+                norms = np.linalg.norm(m, axis=0)
+                maps.append(-math.sqrt(2.0 * np.pi) * (m.T @ EA) / norms[:, None])
+                corr.append((m.T @ m) / np.outer(norms, norms))
+                signs.append((-1.0) ** sum(on_p))
+            plan = orthant_plan(np.array(corr))
+            per_point = plan.bivariate_count(DEFAULT_QUAD.nodes_per_axis)
+            step = max(1, _KERNEL_ROWS // max(per_point, 1))
+            self._completion = np.vstack(maps), plan, signs, step
+        return self._completion
 
+
+# Most bivariate orthant probabilities that one eval_E_rows call of the
+# completed kernel evaluates: _phi_hat_rows takes the points in pieces of
+# this many, but at least one point (a rank-4 point needs 69,728 for its 16
+# cones), so each temporary array stays near _KERNEL_ROWS words whatever the
+# number of points.
+_KERNEL_ROWS = 1 << 16
 
 # keyed by pair identity (ConePair is eq=False); an entry lives as long as its pair
 _RUNTIME_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -287,22 +310,40 @@ def _pair_runtime(pair: ConePair) -> _PairRuntime:
 
 
 def kernel_phi_hat(pair: ConePair, x) -> float:
-    """2^{-r} sum_P (-1)^{|P|} E^A(C^P; x); smooth, and approaches
-    kernel_phi once every |B(c_j, x)|, |B(c'_j, x)| is large."""
+    """2^{-r} sum_P (-1)^{|P|} E^A(C^P; x) at a finite point x; smooth, and
+    approaches kernel_phi once every |B(c_j, x)|, |B(c'_j, x)| is large.
+
+    At r = 1 a difference of two erfs (_phi_hat_r1); at other ranks the
+    one-row case of _phi_hat_rows, on the completion data cached with the
+    pair, so it equals the value a theta sum takes at x bit for bit.
+    """
     rt = _pair_runtime(pair)
-    xf = np.asarray(x, dtype=float)
-    if rt.r == 1:
-        return float(_phi_hat_r1(rt, xf.reshape(1, -1))[0])
-    return _phi_hat(rt, xf)
+    X = np.asarray(x, dtype=float).reshape(1, -1)
+    if X.shape[1] != rt.n or not np.all(np.isfinite(X)):
+        raise ValueError(f"x must be a finite vector of length {rt.n}, got {x}")
+    return float((_phi_hat_r1 if rt.r == 1 else _phi_hat_rows)(rt, X)[0])
 
 
-def _phi_hat(rt: _PairRuntime, x: np.ndarray) -> float:
-    """The completed kernel at one point from the 2^r boosted E values."""
-    total = 0.0
-    for P, cone in rt.p_cones().items():
-        ev = eval_E_boosted(BoostedArgument(cone=cone, x=x))
-        total += (-1.0) ** len(P) * ev.value
-    return total / 2.0 ** rt.r
+def _phi_hat_rows(rt: _PairRuntime, X: np.ndarray) -> np.ndarray:
+    """The completed kernel at every row of X: for each piece of points, the
+    coordinates h of all 2^r cones at once, then one eval_E_rows pass over
+    its points and cones (full rule only). h is accumulated column by column
+    rather than by a matrix product, whose rounding depends on the number of
+    rows, so each row's value is the same whatever the other rows and
+    wherever the pieces are cut."""
+    H, plan, signs, step = rt.completion()
+    phi = np.empty(len(X))
+    for a in range(0, len(X), step):
+        Xp = X[a:a + step]
+        h = Xp[:, :1] * H[:, 0]
+        for k in range(1, Xp.shape[1]):
+            h = h + Xp[:, k:k + 1] * H[:, k]
+        E = eval_E_rows(plan, h)[0]
+        total = np.zeros(len(Xp))
+        for f, sign in enumerate(signs):
+            total += sign * E[:, f]
+        phi[a:a + step] = total / 2.0 ** rt.r
+    return phi
 
 
 def _phi_hat_r1(rt: _PairRuntime, X: np.ndarray) -> np.ndarray:
@@ -335,6 +376,22 @@ _PIECE = 1 << 15
 _SPAN = 2.0 ** 45
 
 
+def _layer_intervals(U: np.ndarray, t: np.ndarray, radius: float, i: int,
+                     rem2: np.ndarray, shift: np.ndarray):
+    """Integer interval of m_i of each parent of layer i, as (lo, counts,
+    ends = counts.cumsum()); raises _CountExceeded where an interval is not
+    finite or reaches past _SPAN."""
+    uii = U[i, i]
+    center = -t[i] - shift[:, i] / uii
+    half = np.sqrt(rem2) / abs(uii)
+    if not (np.abs(center) + half < _SPAN).all():
+        raise _CountExceeded(
+            f"an interval at radius {radius:.6g} is not finite or reaches past 2^45")
+    lo = np.ceil(center - half - 1e-12).astype(np.int64)
+    counts = np.maximum(np.floor(center + half + 1e-12).astype(np.int64) - lo + 1, 0)
+    return lo, counts, counts.cumsum()
+
+
 def _enumerate_shifts(U: np.ndarray, t: np.ndarray, radius: float, max_points: int) -> np.ndarray:
     """All integer m with ||U (m + t)||^2 <= radius^2, U upper triangular.
 
@@ -344,64 +401,62 @@ def _enumerate_shifts(U: np.ndarray, t: np.ndarray, radius: float, max_points: i
     (the fixed columns j > i folded into rows 0..i) give its integer interval
     for m_i; the children are counted first, then expanded with np.repeat.
     The frontier is built depth first, in pieces of at most _PIECE nodes,
-    so rows come out lexicographic in (m_{n-1}, ..., m_0). Raises
-    _CountExceeded as soon as more than max_points points are found, or when
-    an interval is not finite or reaches past _SPAN.
+    from an explicit stack of open layers, so rows come out lexicographic in
+    (m_{n-1}, ..., m_0) and nothing the call built outlives it but its
+    result. Raises _CountExceeded as soon as more than max_points points are
+    found, or when an interval is not finite or reaches past _SPAN.
     """
     n = U.shape[0]
     found = []
     count = 0
-
-    def layer(i: int, prefix: np.ndarray, rem2: np.ndarray, shift: np.ndarray):
-        # prefix holds m_{i+1..n-1} of each parent, shift its rows 0..i and
-        # rem2 >= 0 its squared radius left for rows 0..i
-        nonlocal count
-        uii = U[i, i]
-        center = -t[i] - shift[:, i] / uii
-        half = np.sqrt(rem2) / abs(uii)
-        if not (np.abs(center) + half < _SPAN).all():
-            raise _CountExceeded(
-                f"an interval at radius {radius:.6g} is not finite or reaches past 2^45")
-        lo = np.ceil(center - half - 1e-12).astype(np.int64)
-        counts = np.maximum(np.floor(center + half + 1e-12).astype(np.int64) - lo + 1, 0)
-        ends = counts.cumsum()
+    # an open layer: [i, prefix, rem2, shift, intervals, first child not yet
+    # built]; prefix holds m_{i+1..n-1} of each parent, shift its rows 0..i
+    # and rem2 >= 0 its squared radius left for rows 0..i
+    rem0 = np.array([radius * radius])
+    shift0 = np.zeros((1, n))
+    stack = [[n - 1, np.zeros((1, n), dtype=np.int64), rem0, shift0,
+              _layer_intervals(U, t, radius, n - 1, rem0, shift0), 0]]
+    while stack:
+        top = stack[-1]
+        i, prefix, rem2, shift, (lo, counts, ends), a = top
         total = int(ends[-1])
-        for a in range(0, total, _PIECE):
-            b = min(a + _PIECE, total)
-            # children a..b-1 belong to parents p0..p1-1, the outer two clipped
-            if total <= _PIECE:
-                p0, p1 = 0, len(ends)
-            else:
-                p0 = int(ends.searchsorted(a, side="right"))
-                p1 = int(ends.searchsorted(b - 1, side="right")) + 1
-            starts = ends[p0:p1] - counts[p0:p1]
-            k = np.minimum(ends[p0:p1], b) - np.maximum(starts, a)
-            par = np.arange(p0, p1).repeat(k)
-            mi = (lo[p0:p1] - starts + a).repeat(k) + np.arange(b - a)
-            x = mi + t[i]
-            v = uii * x + shift[par, i]
-            if i == 0:
-                ok = v * v <= (rem2 + 1e-12)[par]
-                count += int(np.count_nonzero(ok))
-                if count > max_points:
-                    raise _CountExceeded(
-                        f"more than {max_points} points within radius {radius:.6g}")
-                rows = prefix[par[ok]]
-                rows[:, 0] = mi[ok]
-                found.append(rows)
-                continue
-            rem_next = rem2[par] - v * v
-            keep = rem_next >= -1e-12
-            if not keep.any():
-                continue
-            sel = par[keep]
-            child = prefix[sel]
-            child[:, i] = mi[keep]
-            layer(i - 1, child, np.maximum(rem_next[keep], 0.0),
-                  shift[sel, :i] + U[:i, i] * x[keep, None])
-
-    layer(n - 1, np.zeros((1, n), dtype=np.int64), np.array([radius * radius]),
-          np.zeros((1, n)))
+        if a >= total:
+            stack.pop()
+            continue
+        b = top[5] = min(a + _PIECE, total)
+        # children a..b-1 belong to parents p0..p1-1, the outer two clipped
+        if total <= _PIECE:
+            p0, p1 = 0, len(ends)
+        else:
+            p0 = int(ends.searchsorted(a, side="right"))
+            p1 = int(ends.searchsorted(b - 1, side="right")) + 1
+        starts = ends[p0:p1] - counts[p0:p1]
+        k = np.minimum(ends[p0:p1], b) - np.maximum(starts, a)
+        par = np.arange(p0, p1).repeat(k)
+        mi = (lo[p0:p1] - starts + a).repeat(k) + np.arange(b - a)
+        x = mi + t[i]
+        v = U[i, i] * x + shift[par, i]
+        if i == 0:
+            ok = v * v <= (rem2 + 1e-12)[par]
+            count += int(np.count_nonzero(ok))
+            if count > max_points:
+                raise _CountExceeded(
+                    f"more than {max_points} points within radius {radius:.6g}")
+            rows = prefix[par[ok]]
+            rows[:, 0] = mi[ok]
+            found.append(rows)
+            continue
+        rem_next = rem2[par] - v * v
+        keep = rem_next >= -1e-12
+        if not keep.any():
+            continue
+        sel = par[keep]
+        child = prefix[sel]
+        child[:, i] = mi[keep]
+        rem_child = np.maximum(rem_next[keep], 0.0)
+        shift_child = shift[sel, :i] + U[:i, i] * x[keep, None]
+        stack.append([i - 1, child, rem_child, shift_child,
+                      _layer_intervals(U, t, radius, i - 1, rem_child, shift_child), 0])
     if not found:
         return np.zeros((0, n), dtype=np.int64)
     return np.concatenate(found)
@@ -486,10 +541,7 @@ def _assemble_value(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime):
                     "support point violates Q <= Q_-; certificate inconsistent")
     else:
         X = math.sqrt(2.0 * tau.imag) * Y
-        if rt.r == 1:
-            phi = _phi_hat_r1(rt, X)
-        else:
-            phi = np.array([_phi_hat(rt, X[i]) for i in range(X.shape[0])])
+        phi = (_phi_hat_r1 if rt.r == 1 else _phi_hat_rows)(rt, X)
     # combine kernel magnitude and q-power in log space: off-support points have
     # phi = 0 but arbitrarily positive Q(y), and exp alone would overflow
     mag = np.abs(phi)

@@ -38,7 +38,7 @@ from .errfn import (ErrFnArgument, QuadratureSpec, bound_check, decompose_E_into
 from .exceptions import GenericityViolated, ValidationError
 from .quadform import BilinearForm, ErrorFunctionFrame
 from .theta import (ThetaSpec, TruncationPolicy, discriminant_group, enumerate_lattice,
-                    eval_theta, kernel_phi_hat, q_expansion)
+                    eval_theta, q_expansion)
 
 
 def _sign(x: Fraction) -> int:
@@ -563,6 +563,13 @@ def _hyp_pair() -> ConePair:
     return ConePair.from_matrices([[1], [1]], [[2], [1]], _HYP)
 
 
+def _hyp_sum_pair() -> ConePair:
+    """The direct sum of two _hyp_pair pairs, a rank-2 pair on _HYP + _HYP."""
+    form = BilinearForm.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    return ConePair.from_matrices([[1, 0], [1, 0], [0, 1], [0, 1]],
+                                  [[2, 0], [1, 0], [0, 2], [0, 1]], form)
+
+
 def _qexp_pair() -> ConePair:
     return ConePair.from_matrices([[1], [0]], [[2], [1]], _DIAG12)
 
@@ -669,20 +676,20 @@ def _check_theta_convergence_witness(rng, full):
 
 
 def _check_theta_completed_paths(rng, full):
-    # vectorized erf fast path agrees with the generic boosted-E path
-    pair = _hyp_pair()
+    # both completed kernel routes, the rank-1 erf path and the batched
+    # rank-2 pass, against sum_P (-1)^|P| E^A(C^P; x) on cones built apart
+    from .theta import _pair_runtime, _phi_hat_r1, _phi_hat_rows
     worst = 0.0
-    for _ in range(10):
-        x = rng.normal(size=2) * 2.0
-        from .theta import _pair_runtime, _phi_hat_r1
-        fast = float(_phi_hat_r1(_pair_runtime(pair), x.reshape(1, -1))[0])
-        slow = 0.0
-        for P, sgn in (((), 1.0), ((0,), -1.0)):
-            cols = pair.C_prime if P else pair.C
-            C = np.array([[float(v) for v in col] for col in cols]).T
-            slow += sgn * eval_E_boosted(
-                BoostedArgument(cone=build_cone(C, _HYP), x=x)).value
-        worst = max(worst, abs(fast - slow / 2.0))
+    for pair, kernel in ((_hyp_pair(), _phi_hat_r1), (_hyp_sum_pair(), _phi_hat_rows)):
+        X = rng.normal(size=(10, pair.n)) * 2.0
+        for x, fast in zip(X, kernel(_pair_runtime(pair), X)):
+            slow = 0.0
+            for mask in range(2 ** pair.r):
+                cols = [pair.C_prime[j] if mask >> j & 1 else pair.C[j] for j in range(pair.r)]
+                C = np.array([[float(v) for v in col] for col in cols]).T
+                slow += (-1.0) ** bin(mask).count("1") * eval_E_boosted(
+                    BoostedArgument(cone=build_cone(C, pair.form), x=x)).value
+            worst = max(worst, abs(fast - slow / 2.0 ** pair.r))
     return worst, 1e-9, ""
 
 

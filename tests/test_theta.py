@@ -4,13 +4,15 @@ modular and elliptic transformation laws."""
 import cmath
 import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from thetaforge import theta
-from thetaforge.cones import ConePair
+from thetaforge.boosted import BoostedArgument, build_cone, eval_E_boosted
+from thetaforge.cones import ConePair, build_a4_example
 from thetaforge.exceptions import BudgetExceeded, ValidationError
 from thetaforge.quadform import BilinearForm
 from thetaforge.theta import (QExpansion, QTerm, ThetaSpec, TruncationPolicy, _CountExceeded,
@@ -122,10 +124,12 @@ def test_radius_doubling_stability():
 def test_runtime_cache_frees_collected_pairs():
     gc.collect()
     before = len(theta._RUNTIME_CACHE)
-    pairs = [hyp_pair() for _ in range(5)]
+    pairs = [hyp_pair() for _ in range(4)] + [product_pair()]
     runtimes = [_pair_runtime(pair) for pair in pairs]
     assert len(theta._RUNTIME_CACHE) == before + 5
     assert _pair_runtime(pairs[0]) is runtimes[0]
+    kernel_phi_hat(pairs[-1], np.ones(4))  # builds the completion data
+    assert runtimes[-1]._completion is not None
     del pairs
     gc.collect()
     assert len(theta._RUNTIME_CACHE) == before
@@ -188,19 +192,28 @@ A2 = BilinearForm.from_rows([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 0, 0], [0, 
 D12_HYP = BilinearForm.from_rows([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
+def product_pair():
+    """d12_pair + d12_pair: c = (e1, e3), c' = (2e1 + e2, 2e3 + e4)."""
+    return ConePair.from_matrices([[1, 0], [0, 0], [0, 1], [0, 0]],
+                                  [[2, 0], [1, 0], [0, 2], [0, 1]], PRODUCT)
+
+
+def a2_pair():
+    """The rank-2 A2 analogue of the A4 example: C = (e1, e2),
+    C' = (e1 - e4, e2 - e3)."""
+    return ConePair.from_matrices([[1, 0], [0, 1], [0, 0], [0, 0]],
+                                  [[1, 0], [0, 1], [0, -1], [-1, 0]], A2)
+
+
 def oracle_pairs(a4_pair):
     """(name, pair, radii): the three rank-1 pairs, the product pair, the
     rank-2 A2 analogue of the A4 example and A4 itself."""
     r1 = ConePair.from_matrices([[1], [0]], [[2], [1]],
                                 BilinearForm.from_rows([[1, 0], [0, -1]]))
-    product = ConePair.from_matrices([[1, 0], [0, 0], [0, 1], [0, 0]],
-                                     [[2, 0], [1, 0], [0, 2], [0, 1]], PRODUCT)
-    a2 = ConePair.from_matrices([[1, 0], [0, 1], [0, 0], [0, 0]],
-                                [[1, 0], [0, 1], [0, -1], [-1, 0]], A2)
     rank1 = (0.0, 0.5, 1.0, 2.5, 6.0, 12.0)
     return [("d12", d12_pair(), rank1), ("d22", d22_pair(), rank1), ("r1", r1, rank1),
-            ("product", product, (0.5, 1.5, 3.0, 6.0, 12.0)),
-            ("a2", a2, (0.5, 1.5, 3.0, 6.0)), ("a4", a4_pair, (0.0, 1.0, 2.0, 3.0))]
+            ("product", product_pair(), (0.5, 1.5, 3.0, 6.0, 12.0)),
+            ("a2", a2_pair(), (0.5, 1.5, 3.0, 6.0)), ("a4", a4_pair, (0.0, 1.0, 2.0, 3.0))]
 
 
 def test_layered_enumeration_matches_recursive_oracle(a4_pair):
@@ -214,6 +227,27 @@ def test_layered_enumeration_matches_recursive_oracle(a4_pair):
                 got = _enumerate_shifts(U, t, radius, 10 ** 7)
                 assert got.dtype == np.int64 and got.shape == want.shape, (name, radius, t)
                 assert np.array_equal(got, want), (name, radius, t)
+
+
+def test_enumeration_frees_its_rows_on_return():
+    # with the cyclic collector off, nothing the enumerator built outlives
+    # the result it returns
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        rows = _enumerate_shifts(np.eye(3), np.zeros(3), 30.0, 10 ** 7)
+        size = rows.nbytes
+        del rows
+        left = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert size > 2_000_000
+    assert left < 0.01 * size
 
 
 def test_layered_enumeration_splits_one_wide_interval():
@@ -622,3 +656,49 @@ def test_repeated_eval_theta_is_identical():
     v2 = eval_theta(spec, TruncationPolicy(tol=1e-10))
     assert v1.value == v2.value
     assert v1.n_points == v2.n_points
+
+
+def boosted_kernel_sum(pair, x) -> float:
+    """2^-r sum_P (-1)^|P| E^A(C^P; x), each cone built apart by build_cone
+    and evaluated at the one point x."""
+    total = 0.0
+    for mask in range(2 ** pair.r):
+        cols = [pair.C_prime[j] if mask >> j & 1 else pair.C[j] for j in range(pair.r)]
+        C = np.array([[float(v) for v in col] for col in cols]).T
+        total += (-1.0) ** bin(mask).count("1") * eval_E_boosted(
+            BoostedArgument(cone=build_cone(C, pair.form), x=x)).value
+    return total / 2.0 ** pair.r
+
+
+@pytest.mark.parametrize("make_pair, count", [(product_pair, 12), (a2_pair, 12),
+                                              (build_a4_example, 3)])
+def test_batched_kernel_rows(monkeypatch, make_pair, count):
+    # each row of one pass (at rank 4 in pieces of two points, from a fresh
+    # pair's completion data) equals the one-point kernel bit for bit, and
+    # the 2^r boosted E sum to 4e-15
+    monkeypatch.setattr(theta, "_KERNEL_ROWS", 150_000)
+    pair = make_pair()
+    rt = _pair_runtime(pair)
+    assert rt.completion()[3] == (2 if pair.r == 4 else 37_500)
+    X = np.random.default_rng(4099).normal(size=(count, pair.n)) * 1.5
+    batch = theta._phi_hat_rows(rt, X)
+    for x, got in zip(X, batch):
+        assert got == kernel_phi_hat(pair, x)
+        assert abs(got - boosted_kernel_sum(pair, x)) <= 4e-15
+
+
+def test_product_kernel_is_product_of_rank1_kernels():
+    X = np.random.default_rng(77).normal(size=(400, 4)) * 1.2
+    got = theta._phi_hat_rows(_pair_runtime(product_pair()), X)
+    d12 = d12_pair()
+    want = np.array([kernel_phi_hat(d12, x[:2]) * kernel_phi_hat(d12, x[2:]) for x in X])
+    big = np.abs(want) >= 1e-4
+    assert big.sum() >= 100
+    assert np.all(np.abs(got[big] - want[big]) <= 1e-10 * np.abs(want[big]))
+
+
+@pytest.mark.parametrize("make_pair, x", [(product_pair, [1.0, 2.0, 3.0]),
+                                          (d12_pair, [np.nan, 0.0])])
+def test_kernel_phi_hat_rejects_bad_points(make_pair, x):
+    with pytest.raises(ValueError):
+        kernel_phi_hat(make_pair(), x)
