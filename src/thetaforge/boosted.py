@@ -169,7 +169,7 @@ def boosted_decompositions(arg: BoostedArgument, quad: QuadratureSpec = DEFAULT_
 
     Returns (m_terms, e_terms), those of decompose_M_into_E and
     decompose_E_into_M at the reduced argument; each term carries S, coeff,
-    value, est_error.
+    value, est_error, route.
     """
     red = _reduced_argument(arg)
     return decompose_M_into_E(red, quad)[0], decompose_E_into_M(red, quad)[0]

@@ -23,10 +23,11 @@ exponential integral over s_j >= 0; the Gaussian t-integral then collapses and
 
 J has a smooth positive integrand with no poles, uniformly in the wall
 distances. Its axis of strongest decay is integrated in closed form (erfcx),
-the others by tensor Gauss-Legendre on truncated boxes, so M_r keeps its
-relative precision however small it is. The contour-shifted tensor
-Gauss-Hermite rule is kept as eval_M_contour; it is spectrally accurate only
-when every |a_j| is order one and serves as a cross-check.
+the others by Gauss-Legendre on truncated boxes, built and contracted axis
+by axis from 1-D node vectors, so M_r keeps its relative precision however
+small it is. The contour-shifted tensor Gauss-Hermite rule is kept as
+eval_M_contour; it is spectrally accurate only when every |a_j| is order
+one and serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -108,9 +109,13 @@ class ErrFnArgument:
 
 @dataclass(frozen=True)
 class ErrFnValue:
+    """route: "closed form" (r <= 1, and E_2), "orthant rule" (E_3, E_4, M_r at r >= 2),
+    "contour rule" or "monte carlo"; a sum of terms has that of its full-rank term."""
+
     value: float
     imag_residual: float
     est_error: float
+    route: str = "closed form"
 
 
 def wall_distances(arg: ErrFnArgument) -> np.ndarray:
@@ -133,24 +138,22 @@ _leggauss = _frozen_rule(np.polynomial.legendre.leggauss)
 _hermgauss = _frozen_rule(np.polynomial.hermite.hermgauss)
 
 
-def _smax_bounds(G: np.ndarray, b: np.ndarray, cut: float) -> np.ndarray:
-    """Per-axis box bounds: outside them the integrand is below e^-cut.
+def _smax_bound(d: float, b: float, cut: float) -> float:
+    """Box bound along one axis: beyond it the integrand is below e^-cut.
 
-    Along axis j the exponent is at least b_j s + s^2 / (4 pi (G^-1)_jj),
-    minimized over the other coordinates.
+    Along axis j the exponent is at least b_j s + s^2 / (4 pi d_j), with
+    d = diag(G^-1), minimized over the other coordinates.
     """
-    d = np.diag(np.linalg.inv(G)).copy()
-    d = np.maximum(d, 1e-300)
-    q = 1.0 / (4.0 * np.pi * d)
-    return (-b + np.sqrt(b * b + 4.0 * q * cut)) / (2.0 * q)
+    q = 1.0 / (4.0 * math.pi * max(d, 1e-300))
+    return (-b + math.sqrt(b * b + 4.0 * q * cut)) / (2.0 * q)
 
 
 def _log_erfcx(x: np.ndarray) -> np.ndarray:
     """log(e^{x^2} erfc(x)). Below x = -25, erfc(x) is 2 to double precision
     and erfcx(x) overflows, so the value there is x^2 + log 2."""
     out = np.log(erfcx(x))
-    low = x < -25.0
-    if low.any():
+    if x.min() < -25.0:
+        low = x < -25.0
         out[low] = x[low] ** 2 + math.log(2.0)
     return out
 
@@ -165,8 +168,8 @@ def _tensor_grid(nodes: list[np.ndarray], weights: list[np.ndarray]):
     return np.array([g.reshape(-1) for g in grids]).reshape(len(nodes), wt.size), wt.reshape(-1)
 
 
-def _orthant_J(G: np.ndarray, b: np.ndarray, n: int) -> tuple[float, float]:
-    """J with n and with max(n // 2, 8) Gauss-Legendre nodes per axis.
+def _orthant_J(G: np.ndarray, b: np.ndarray, d: np.ndarray, n: int) -> tuple[float, float]:
+    """J with n and with max(n // 2, 8) Gauss-Legendre nodes per axis; d = diag(G^-1).
 
     The axis k with the strongest linear decay is integrated in closed form,
     int_0^inf e^{-beta s - gamma s^2/(4 pi)} ds = (pi / sqrt(gamma)) erfcx(x)
@@ -174,26 +177,34 @@ def _orthant_J(G: np.ndarray, b: np.ndarray, n: int) -> tuple[float, float]:
     integrand is below e^-(_CUT + 2). beta goes negative where off-diagonal
     couplings are negative, so the e^{x^2} growth of erfcx is kept in log
     space and cancelled against the outer Gaussian before exponentiating.
+    The exponent and x are outer sums of 1-D node vectors S[i], each along
+    its own axis (x only over the axes coupled to k), and the integrand is
+    contracted with the 1-D weights axis by axis: no tensor grid.
     """
-    k = int(np.argmax(b))
-    gamma = G[k, k]
+    k = int(b.argmax())
+    gamma, root = G[k, k], math.sqrt(np.pi / G[k, k])
     if len(b) == 1:
-        v = float(np.pi / math.sqrt(gamma) * erfcx(b[k] * math.sqrt(np.pi / gamma)))
+        v = float(np.pi / math.sqrt(gamma) * erfcx(b[k] * root))
         return v, v
     idx = [j for j in range(len(b)) if j != k]
-    smax = _smax_bounds(G, b, _CUT + 2.0)[idx]
+    G, b, d = G.tolist(), b.tolist(), d.tolist()  # per-axis scalars: floats cost less
+    half = [0.5 * _smax_bound(d[j], b[j], _CUT + 2.0) for j in idx]  # half the box per axis
     values = []
     for nodes in (n, max(n // 2, 8)):
         x, w = _leggauss(nodes)
-        S, wt = _tensor_grid([(x + 1.0) * 0.5 * s for s in smax], [w * 0.5 * s for s in smax])
-        xx = (b[k] + (G[idx, k] @ S) / (2.0 * np.pi)) * math.sqrt(np.pi / gamma)
-        L = (
-            -(b[idx] @ S)
-            - (0.25 / np.pi) * np.einsum("in,in->n", S, G[np.ix_(idx, idx)] @ S)
-            + math.log(np.pi / math.sqrt(gamma))
-            + _log_erfcx(xx)
-        )
-        values.append(float(wt @ np.exp(L)))
+        S = [((x + 1.0) * h).reshape((-1,) + (1,) * (len(idx) - 1 - i)) for i, h in enumerate(half)]
+        L, xx = math.log(np.pi / math.sqrt(gamma)), np.array(b[k] * root, ndmin=len(idx))
+        for i, j in enumerate(idx):
+            L = L - S[i] * (b[j] + G[j][j] * (0.25 / np.pi) * S[i])
+            for m in range(i):
+                L -= (G[idx[m]][j] * (0.5 / np.pi) * S[m]) * S[i]
+            if G[j][k] != 0.0:
+                xx = xx + G[j][k] * (0.5 / np.pi) * root * S[i]
+        L += _log_erfcx(xx)
+        F = np.exp(L, out=L)
+        for h in reversed(half):
+            F = F @ (w * h)
+        values.append(float(F))
     return values[0], values[1]
 
 
@@ -205,7 +216,7 @@ def _check_rank(r: int, quad: QuadratureSpec):
 
 def _check_walls(a: np.ndarray, wall_eps: float):
     dist = np.abs(a)
-    j = int(np.argmin(dist)) if len(dist) else 0
+    j = int(dist.argmin()) if len(dist) else 0
     if len(dist) and dist[j] <= wall_eps:
         raise WallTooClose(
             f"wall coordinate w_{j} . u = {a[j]:.3e} is within {wall_eps:.3e} of zero",
@@ -230,15 +241,16 @@ def eval_M(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValu
     a = wall_distances(arg)
     _check_walls(a, arg.wall_eps)
     eps = np.sign(a)
-    w_mat = arg.frame.w_mat
-    G = np.outer(eps, eps) * (w_mat.T @ w_mat)
+    w_mat, m_mat = arg.frame.w_mat, arg.frame.m_mat
+    G = eps[:, None] * (w_mat.T @ w_mat) * eps
     gauss = np.pi * float(arg.u @ arg.u)
-    pref = ((-1.0) ** r * np.pi ** (-r) * float(np.prod(eps))
-            / abs(float(np.linalg.det(arg.frame.m_mat))) * math.exp(-gauss))
-    v1, v2 = _orthant_J(G, np.abs(a), quad.nodes_per_axis)
+    pref = ((-1.0) ** r * np.pi ** (-r) * float(np.multiply.reduce(eps))
+            / abs(float(np.linalg.det(m_mat))) * math.exp(-gauss))
+    d = np.add.reduce(m_mat * m_mat, axis=0)  # diag(G^-1) = diag(M^T M)
+    v1, v2 = _orthant_J(G, np.abs(a), d, quad.nodes_per_axis)
     value = pref * v1
     est = abs(pref) * abs(v1 - v2) + abs(value) * (1e-15 + 4.0 * _EPS * gauss)
-    return ErrFnValue(value=value, imag_residual=0.0, est_error=est)
+    return ErrFnValue(value, 0.0, est, "orthant rule" if r > 1 else "closed form")
 
 
 def _contour_sum(m_mat, w_mat, a, u, n) -> complex:
@@ -274,7 +286,7 @@ def eval_M_contour(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> E
     v1 = _contour_sum(arg.frame.m_mat, arg.frame.w_mat, a, arg.u, n)
     v2 = _contour_sum(arg.frame.m_mat, arg.frame.w_mat, a, arg.u, max(n // 2, 8))
     est = abs(v1.real - v2.real) + abs(v1.real) * 1e-15 + 1e-18
-    return ErrFnValue(value=float(v1.real), imag_residual=float(v1.imag), est_error=est)
+    return ErrFnValue(float(v1.real), float(v1.imag), est, "contour rule")
 
 
 def _subsets(r: int):
@@ -459,14 +471,17 @@ def eval_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValu
     h = -math.sqrt(2.0 * np.pi) * (m_mat.T @ arg.u) / norms  # P(z_j < 0) = ndtr(h_j)
     plan = orthant_plan(((m_mat.T @ m_mat) / (norms[:, None] * norms))[None])
     full, half = eval_E_rows(plan, h[None], (n, max(n // 2, 8)))[:, 0, 0].tolist()
-    return ErrFnValue(value=full, imag_residual=0.0, est_error=abs(full - half) + 3.0 ** r * 4e-15)
+    return ErrFnValue(full, 0.0, abs(full - half) + 3.0 ** r * 4e-15,
+                      "orthant rule" if r > 2 else "closed form")
 
 
 def eval_E_oracle_mc(arg: ErrFnArgument, n_samples: int, seed: int) -> ErrFnValue:
     """Monte Carlo convolution oracle for E_r.
 
     Draws u' ~ N(u, I/(2 pi)) and averages the sign product; est_error is
-    the standard error of the mean. Independent of all quadrature code.
+    the standard error of the mean, floored at 2 / n_samples (that of one
+    minority draw; 3 of them are the rule of three) for runs whose samples
+    all share one sign. Independent of all quadrature code.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
@@ -486,8 +501,8 @@ def eval_E_oracle_mc(arg: ErrFnArgument, n_samples: int, seed: int) -> ErrFnValu
         done += m
     mean = tot / n_samples
     var = max(tot2 / n_samples - mean * mean, 0.0) * n_samples / max(n_samples - 1, 1)
-    stderr = math.sqrt(var / n_samples)
-    return ErrFnValue(value=mean, imag_residual=0.0, est_error=stderr)
+    stderr = max(math.sqrt(var / n_samples), 2.0 / n_samples)
+    return ErrFnValue(mean, 0.0, stderr, "monte carlo")
 
 
 def _axis_factor(frame: ErrorFunctionFrame, u: np.ndarray, j: int) -> tuple[float, float]:
@@ -537,8 +552,7 @@ def _derivative(arg: ErrFnArgument, j: int, kind: str, quad: QuadratureSpec) -> 
     nrm = float(np.linalg.norm(frame.m(j)))
     res = _eval(kind, _restrict(arg, _complement(frame.r, (j,)), "P"), quad)
     scale = 2.0 / nrm * gauss
-    return ErrFnValue(value=scale * res.value, imag_residual=0.0,
-                      est_error=abs(scale) * res.est_error)
+    return ErrFnValue(scale * res.value, 0.0, abs(scale) * res.est_error, res.route)
 
 
 def shadow(arg: ErrFnArgument, kind: str = "E", quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValue:
@@ -552,14 +566,14 @@ def shadow(arg: ErrFnArgument, kind: str = "E", quad: QuadratureSpec = DEFAULT_Q
     if kind not in ("M", "E"):
         raise ValueError("kind must be 'M' or 'E'")
     frame = arg.frame
-    total = 0.0
-    est = 0.0
+    total, est, route = 0.0, 0.0, "closed form"
     for j in range(frame.r):
         t, gauss = _axis_factor(frame, arg.u, j)
         res = _eval(kind, _restrict(arg, _complement(frame.r, (j,)), "P"), quad)
         total += t * gauss * res.value
         est += abs(t * gauss) * res.est_error
-    return ErrFnValue(value=total, imag_residual=0.0, est_error=est)
+        route = res.route
+    return ErrFnValue(total, 0.0, est, route)
 
 
 def discontinuity_limit(arg: ErrFnArgument, S, approach_signs: dict[int, int],
@@ -587,7 +601,7 @@ def discontinuity_limit(arg: ErrFnArgument, S, approach_signs: dict[int, int],
             raise ValueError(f"u is not on the wall stratum: |w_{j} . u| = {abs(a[j]):.3e}")
     res = eval_M(_restrict(arg, S, "Q", wall_eps=min(arg.wall_eps, 1e-12)), quad)
     coeff = (-1.0) ** (r - len(S)) * float(np.prod([approach_signs[j] for j in comp]))
-    return ErrFnValue(value=coeff * res.value, imag_residual=0.0, est_error=res.est_error)
+    return ErrFnValue(coeff * res.value, 0.0, res.est_error, res.route)
 
 
 def bound_check(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD,
@@ -647,10 +661,11 @@ def vigneras_residual(arg: ErrFnArgument, kind: str = "E", h: float = 1e-3,
 
 def sum_terms(terms) -> ErrFnValue:
     """The sum of coeff * value over decomposition terms, with the
-    |coeff|-weighted sum of their est_error."""
+    |coeff|-weighted sum of their est_error and the route of the last,
+    full-rank term."""
     total = sum(t["coeff"] * t["value"] for t in terms)
     est = sum(abs(t["coeff"]) * t["est_error"] for t in terms)
-    return ErrFnValue(value=total, imag_residual=0.0, est_error=est)
+    return ErrFnValue(total, 0.0, est, terms[-1]["route"])
 
 
 def decompose_M_into_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -658,7 +673,7 @@ def decompose_M_into_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD):
 
     Returns (terms, total): terms are dicts with the subset, the +-1
     coefficient, and the E value of the reduced argument (Q_S M_S; Q_S u)
-    with its est_error. The sum telescopes the discontinuities of the sign
+    with its est_error and route. The sum telescopes the discontinuities of the sign
     coefficients against the smooth E terms.
     """
     r = arg.frame.r
@@ -669,7 +684,7 @@ def decompose_M_into_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD):
         comp = _complement(r, S)
         coeff = (-1.0) ** len(comp) * float(np.prod(np.sign(a[list(comp)])))
         ev = eval_E(_restrict(arg, S, "Q"), quad)
-        terms.append({"S": S, "coeff": coeff, "value": ev.value, "est_error": ev.est_error})
+        terms.append(dict(S=S, coeff=coeff, value=ev.value, est_error=ev.est_error, route=ev.route))
     return terms, sum_terms(terms)
 
 
@@ -688,5 +703,5 @@ def decompose_E_into_M(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD):
         red = _restrict(arg, _complement(r, S), "P")
         coeff = float(np.prod(np.sign(red.frame.m_mat.T @ red.u)))
         mv = eval_M(_restrict(arg, S, "Q"), quad)
-        terms.append({"S": S, "coeff": coeff, "value": mv.value, "est_error": mv.est_error})
+        terms.append(dict(S=S, coeff=coeff, value=mv.value, est_error=mv.est_error, route=mv.route))
     return terms, sum_terms(terms)

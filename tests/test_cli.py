@@ -78,6 +78,17 @@ def test_errfn_mc_oracle_route(capsys):
     assert doc["est_error"] > 0
 
 
+@pytest.mark.parametrize("argv", [("--kind", "M", "--frame", "I2", "--u", "0.3,0.5"),
+                                  ("--kind", "E", "--frame", "I3", "--u", "0.3,0.5,0.1"),
+                                  ("--kind", "E", "--frame", "I2", "--u", "0.3,0.5",
+                                   "--mc-samples", "10000")])
+def test_errfn_document_has_no_route(capsys, argv):
+    code, doc, _ = run_cli(capsys, "errfn", *argv)
+    assert code == 0
+    keys = {"command", "kind", "r", "u", "value", "est_error", "imag_residual"}
+    assert set(doc) == keys | ({"mc_samples", "seed"} if "--mc-samples" in argv else {"nodes"})
+
+
 def test_errfn_mc_with_m_rejected(capsys):
     code, doc, _ = run_cli(capsys, "errfn", "--kind", "M", "--frame", "I1",
                            "--u", "1", "--mc-samples", "100000")

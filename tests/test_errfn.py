@@ -339,7 +339,7 @@ def _log_erfc(x: float) -> float:
     return math.log(erfcx(SQPI * x)) - math.pi * x * x
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_tiny_m_keeps_relative_precision(r):
     # orthogonal frames: M_r = prod_j -sign(t_j) erfc(sqrt(pi) |t_j|)
     rng = np.random.default_rng(10 + r)
@@ -362,7 +362,7 @@ def test_tiny_m_pinned_value():
     assert v.value == pytest.approx(3.7519520184e-86, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_m_est_error_bounds_the_error_down_to_1e_100(r):
     # seeded orthogonal frames, |M_r| spread over 1e-0.1 .. 1e-100; the
     # reference is the erfc product in 30 digits at the float frame and point
@@ -387,3 +387,104 @@ def test_m_est_error_bounds_the_error_down_to_1e_100(r):
 def test_tiny_m_est_error_is_relative():
     v = eval_M(arg([[1.0, 0.4], [0.0, 1.0]], [5.0, 6.0]))
     assert v.est_error <= 1e-12 * abs(v.value)
+
+
+# eval_M on coupled, non-orthogonal frames, pinned from the tensor-grid
+# rule that the axis-by-axis contraction replaced (same nodes and box).
+PINNED_SEEDED_M = (0.005777110381116076, -0.024588980988910925, 0.0318939173551131,
+                   0.3432107301451606, -2.5316591693047287e-05, -1.1596818600857115e-07,
+                   -0.0015907359400867693, 3.953500169913624e-11, 0.00017557847194700374,
+                   -6.530045443858049e-08, 2.0047907680866915e-23, 0.00037564158884372624)
+# (m, u, M, lowest erfcx argument below): strongly negative couplings take
+# the erfcx argument below 0 and below -25, where _log_erfcx is x^2 + log 2
+PINNED_NEGATIVE_M = (
+    ([[-0.935, -0.704], [-0.058, -0.249]], [-1.207, -0.115], 0.0035172269755339492, 0.0),
+    ([[0.228, 0.275], [-0.205, -0.178]], [-0.143, 0.114], 1.2049633449911346, -25.0),
+    ([[-1.307, -1.582, 1.828], [-0.143, -0.404, 0.176], [-0.72, -1.21, 0.057]],
+     [0.09, 0.378, 0.739], -0.004358491211196642, 0.0),
+    ([[0.679, 1.098, 1.665], [-0.56, -1.135, -1.025], [0.366, 0.525, -0.243]],
+     [0.896, 1.655, -3.859], -2.031603441357498e-28, -25.0),
+    ([[1.753, 1.575, -0.689, 0.144], [-0.191, -0.415, 0.034, 0.014],
+      [-0.715, -0.609, -1.034, 0.666], [1.524, 1.374, -2.466, 0.617]],
+     [-1.622, -1.116, 1.706, -1.3], -7.777422124393767e-16, 0.0),
+    ([[-0.392, -0.314, -0.036, -0.399], [0.568, 0.306, 0.516, -0.68],
+      [1.444, 1.572, 1.51, 1.367], [-1.299, -0.864, -1.024, 0.227]],
+     [-3.558, -0.562, 0.607, -0.387], 5.082596382062995e-23, -25.0),
+)
+# block-diagonal frames: some couplings to the closed-form axis are exactly 0
+BLOCK3 = [[1.0, 0.6, 0.0], [0.3, 1.2, 0.0], [0.0, 0.0, 0.8]]
+BLOCK4 = [[1.0, -0.5, 0.0, 0.0], [0.4, 1.1, 0.0, 0.0], [0.0, 0.0, 0.9, 0.3],
+          [0.0, 0.0, -0.2, 1.3]]
+PINNED_UNCOUPLED_M = (
+    (BLOCK3, [0.9, -0.4, 0.3], 0.0016104662774708831),
+    (BLOCK3, [0.2, -0.1, 1.5], 4.244717300028203e-05),
+    (BLOCK4, [0.7, -0.6, 0.5, 0.8], -0.00013723347728913156),
+)
+
+
+def test_m_matches_pinned_values_on_coupled_frames():
+    rng = np.random.default_rng(2026)
+    got = []
+    for r in (2, 3, 4):
+        for _ in range(4):
+            while True:
+                m, u = rng.normal(size=(r, r)), rng.normal(size=r)
+                if np.linalg.cond(m) < 20:
+                    break
+            got.append(eval_M(arg(m, u)).value)
+    assert got == pytest.approx(PINNED_SEEDED_M, rel=1e-13, abs=0.0)
+
+
+def _eval_M_seeing_erfcx(m, u, monkeypatch):
+    """eval_M's value and the erfcx arguments it evaluated."""
+    seen, log_erfcx = [], errfn._log_erfcx
+    monkeypatch.setattr(errfn, "_log_erfcx", lambda x: seen.append(x) or log_erfcx(x))
+    return eval_M(arg(m, u)).value, seen
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_NEGATIVE_M)))
+def test_m_matches_pinned_values_under_negative_coupling(case, monkeypatch):
+    m, u, want, below = PINNED_NEGATIVE_M[case]
+    value, seen = _eval_M_seeing_erfcx(m, u, monkeypatch)
+    assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert seen[0].min() < below
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_UNCOUPLED_M)))
+def test_m_matches_pinned_values_with_zero_couplings(case, monkeypatch):
+    m, u, want = PINNED_UNCOUPLED_M[case]
+    value, seen = _eval_M_seeing_erfcx(m, u, monkeypatch)
+    assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+    # at 64 nodes erfcx runs on fewer points than the grid of the r - 1 axes
+    assert seen[0].size < 64 ** (len(u) - 1)
+
+
+def test_mc_oracle_error_is_not_zero_when_every_sample_agrees():
+    # deep inside the positive orthant every one of the samples has sign +1
+    a = arg(np.eye(2), [3.0, 3.0])
+    mc = eval_E_oracle_mc(a, n_samples=20_000, seed=1)
+    assert mc.value == 1.0
+    assert mc.est_error == 2.0 / 20_000
+    # E_2 = erf(3 sqrt(pi))^2 = 1 - 2e-12 is within the rule of three
+    assert abs(eval_E(a).value - mc.value) <= 3.0 * mc.est_error
+
+
+@pytest.mark.parametrize("kind, r, route", [
+    ("M", 1, "closed form"), ("M", 2, "orthant rule"), ("M", 4, "orthant rule"),
+    ("E", 1, "closed form"), ("E", 2, "closed form"), ("E", 3, "orthant rule"),
+    ("E", 4, "orthant rule"), ("contour", 2, "contour rule"), ("mc", 2, "monte carlo"),
+])
+def test_value_names_its_route(kind, r, route):
+    a = arg(np.array(GENERAL_FRAMES[max(r, 2)])[:r, :r], [0.45, -0.65, 0.3, 0.5][:r])
+    evaluate = {"M": eval_M, "E": eval_E, "contour": eval_M_contour,
+                "mc": lambda a: eval_E_oracle_mc(a, n_samples=10_000, seed=0)}[kind]
+    assert evaluate(a).route == route
+
+
+def test_derived_values_carry_the_route_of_their_evaluations():
+    assert eval_M(arg(np.zeros((0, 0)), [])).route == "closed form"
+    a = arg(GENERAL_FRAMES[4], [0.45, -0.65, 0.3, 0.5])
+    assert derivative_M(a, 1).route == "orthant rule"  # M_3
+    assert derivative_E(a, 1).route == "orthant rule"  # E_3
+    assert shadow(arg(GENERAL_FRAMES[3], [0.45, -0.65, 0.3]), "E").route == "closed form"
+    assert decompose_M_into_E(a)[1].route == "orthant rule"  # full-rank term E_4
