@@ -13,33 +13,37 @@ Kernels: the holomorphic sign-cone restriction
     phi_hat_r(x) = 2^{-r} sum_{P subseteq [r]} (-1)^{|P|} E^A(C^P; x),
 
 where C^P takes c'_j on P and c_j off P, so that phi_hat -> phi as all
-|B(., x)| grow. Convergence and every tail bound rest on the exact cone
-certificate: on the support of phi_r, Q(k) <= Q_-(k) <= -gamma P_+(k) for
-the positive definite majorant P_+ built from |A|'s eigenvalues, and for
-the completed kernel the same holds sector by sector through the (S, P)
-recursion of the certificate. Enumeration covers the ellipsoid
-P_+(k + offset + b) <= R^2; the remainder is bounded by an analytic
-Gaussian shell integral, so the radius doubles without re-enumeration
-until the bound sits below the tolerance. The ellipsoid's points are found
-by layers in the Cholesky frame of P_+ (Fincke-Pohst): one coordinate per
-layer, a whole frontier of partial points per numpy step, built depth first
-in pieces of bounded size and returned in lexicographic order, so no value
-depends on where the pieces were cut.
+|B(., x)| grow. Every tail bound rests on the exact cone certificate: on
+the support of phi_r, Q <= Q_- with S = -Q_- positive definite, so a term
+is at most K e^{-a S[k+b]}: K = 1 and a = pi tau_2 for phi_r, K = K_hat and
+a = pi tau_2 gamma' from the (S, P) sectors of the certificate for phi_hat
+(gamma' = min lambda_min(G_{S,P}, S) <= 1). Every sum runs over an
+ellipsoid S[y] <= T in the Cholesky frame U^T U = S, and for 0 < s < 1
+Rankin's trick bounds the terms beyond it by
+
+    K e^{-s a T} sum_{y in Z^n + t} e^{-(1-s) a S[y]}
+        <= K e^{-s a T} prod_i theta_3((1-s) a u_ii^2),
+
+theta_3(beta) = sum_k e^{-beta k^2}: row by row in U, each sum is a shifted
+Gaussian sum, below the unshifted one by Poisson summation. T, in closed
+form, is the least over a fixed grid of s that brings this to tol. The
+points are found by layers in the frame U (Fincke-Pohst): one coordinate
+per layer, a whole frontier of partial points per numpy step, built depth
+first in pieces of bounded size and returned in lexicographic order, so no
+value depends on where the pieces were cut.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 from scipy.linalg import eigh as generalized_eigh
-from scipy.special import erf, gammaincc, gamma as gamma_fn
+from scipy.special import erf, erfc
 
 from . import rational as ra
 from .boosted import build_cone
@@ -99,7 +103,8 @@ class ThetaSpec:
     """Evaluation request: lattice Z^n with form A, class mu in Lambda*/Lambda,
     characteristic vector p, elliptic variables b and c_ell, tau in the upper
     half plane, kernel 'holomorphic' (phi_r) or 'completed' (phi_hat_r), and
-    the certified cone pair both kernels are built on."""
+    the certified cone pair both kernels are built on. offset = mu + p/2 and
+    its floats offset_float are built once."""
 
     form: BilinearForm
     mu: tuple
@@ -142,10 +147,9 @@ class ThetaSpec:
             if diag % 2 != 0:
                 raise ValidationError(
                     f"p is not characteristic: Q(e_{i}) + B(e_{i}, p) = {diag} is odd")
-
-    @property
-    def offset(self) -> tuple:
-        return tuple(self.mu[i] + Fraction(self.p[i], 2) for i in range(self.form.n))
+        offset = tuple(self.mu[i] + Fraction(self.p[i], 2) for i in range(n))
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "offset_float", np.array([float(o) for o in offset]))
 
 
 def discriminant_group(form: BilinearForm) -> list:
@@ -176,8 +180,12 @@ def discriminant_group(form: BilinearForm) -> list:
 
 
 def _tree_sum(arr: np.ndarray) -> complex:
-    """Deterministic pairwise summation, independent of any partitioning."""
-    v = arr.astype(complex, copy=True)
+    """Deterministic pairwise summation, independent of any partitioning,
+    after folding the list onto itself (term i plus term -1-i): a centrally
+    symmetric point set comes out of the enumerator in lexicographic order,
+    so each point meets its mirror image and an odd series gives exactly 0."""
+    h = arr.shape[0] // 2
+    v = np.concatenate([arr[:h] + arr[::-1][:h], arr[h:arr.shape[0] - h]]).astype(complex)
     while v.shape[0] > 1:
         if v.shape[0] % 2:
             v = np.concatenate([v, [0.0 + 0.0j]])
@@ -195,20 +203,13 @@ def kernel_phi(pair: ConePair, x) -> float:
     return float(np.prod((np.sign(Cf.T @ Af @ xf) - np.sign(Cpf.T @ Af @ xf)) / 2.0))
 
 
-def _majorant(A: np.ndarray):
-    """P_+ = V |w| V^T from the eigenpairs of A, and the upper triangular
-    U with U^T U = P_+ that the enumerator works in."""
-    w, V = np.linalg.eigh(A)
-    P_plus = (V * np.abs(w)) @ V.T
-    return P_plus, np.linalg.cholesky(P_plus).T
-
-
 class _PairRuntime:
     """Float-side data derived from an exact cone certificate, cached per
-    pair: majorant frame, decay rates and, built on the first completed
-    kernel call at r != 1, the completion data of the 2^r cones C^P
-    (completion()). It holds no reference to the pair, so the weak cache
-    entry and all of this data die with the pair."""
+    pair: the metric S = -Q_- and its Cholesky factor chol_u (U^T U = S),
+    the completed kernel's sector rate gamma_hat and prefactor K_hat and,
+    built on the first completed kernel call at r != 1, the completion data
+    of the 2^r cones C^P (completion()). It holds no reference to the pair,
+    so the weak cache entry and all of this data die with the pair."""
 
     def __init__(self, pair: ConePair, report: ConeSystemReport):
         self.form = pair.form
@@ -221,16 +222,22 @@ class _PairRuntime:
             if pair.r else np.zeros((pair.n, 0))
         self.Cp = np.array([[float(v) for v in col] for col in pair.C_prime]).T \
             if pair.r else np.zeros((pair.n, 0))
-        self.P_plus, self.chol_u = _majorant(A)
-        self.covol = abs(float(np.linalg.det(self.chol_u)))
-        self.cell_d = 0.5 * float(np.sum(np.linalg.norm(self.chol_u, axis=0)))
+        self.AC, self.ACp = A @ self.C, A @ self.Cp
         self.q_minus = np.array([[float(v) for v in row] for row in report.q_minus])
-        self.gamma_holo = self._min_gen_eig(-self.q_minus)
+        self.metric = -0.5 * (self.q_minus + self.q_minus.T)
+        try:
+            self.chol_u = np.linalg.cholesky(self.metric).T
+        except np.linalg.LinAlgError:
+            raise ValidationError("-Q_- is not positive definite; certificate inconsistent")
+        self.u2 = np.diag(self.chol_u) ** 2
+        self.covol = float(np.prod(np.diag(self.chol_u)))
+        self.cell_d = 0.5 * math.sqrt(float(np.sum(self.u2)))
         self.gamma_hat, self.K_hat = self._completed_sectors()
         self._completion = None
 
     def _min_gen_eig(self, G: np.ndarray) -> float:
-        vals = generalized_eigh(0.5 * (G + G.T), self.P_plus, eigvals_only=True)
+        """lambda_min(G, S): the largest g with G[y] >= g S[y] for every y."""
+        vals = generalized_eigh(0.5 * (G + G.T), self.metric, eigvals_only=True)
         g = float(vals[0])
         if g <= 0:
             raise ValidationError(
@@ -313,7 +320,7 @@ def kernel_phi_hat(pair: ConePair, x) -> float:
     """2^{-r} sum_P (-1)^{|P|} E^A(C^P; x) at a finite point x; smooth, and
     approaches kernel_phi once every |B(c_j, x)|, |B(c'_j, x)| is large.
 
-    At r = 1 a difference of two erfs (_phi_hat_r1); at other ranks the
+    At r = 1 a difference of two erfs or erfcs (_phi_hat_r1); at other ranks the
     one-row case of _phi_hat_rows, on the completion data cached with the
     pair, so it equals the value a theta sum takes at x bit for bit.
     """
@@ -347,17 +354,14 @@ def _phi_hat_rows(rt: _PairRuntime, X: np.ndarray) -> np.ndarray:
 
 
 def _phi_hat_r1(rt: _PairRuntime, X: np.ndarray) -> np.ndarray:
-    """Vectorized r=1 completed kernel: one erf per cone vector.
-
-    E^A(c; x) = erf(sqrt(pi) B(c,x) / sqrt(Q(c))).
+    """Vectorized r=1 completed kernel 1/2 (erf a - erf b), a = sqrt(pi)
+    B(c,x) / sqrt(Q(c)) and b the same for c'. Where a and b share a sign
+    the erfs would cancel, so there it is 1/2 sign(a) (erfc |b| - erfc |a|).
     """
-    c = rt.C[:, 0]
-    cp = rt.Cp[:, 0]
-    qc = float(c @ rt.A @ c)
-    qcp = float(cp @ rt.A @ cp)
-    b1 = X @ (rt.A @ c) / math.sqrt(qc)
-    b2 = X @ (rt.A @ cp) / math.sqrt(qcp)
-    return 0.5 * (erf(math.sqrt(math.pi) * b1) - erf(math.sqrt(math.pi) * b2))
+    a = math.sqrt(math.pi) * (X @ rt.AC[:, 0]) / math.sqrt(float(rt.C[:, 0] @ rt.AC[:, 0]))
+    b = math.sqrt(math.pi) * (X @ rt.ACp[:, 0]) / math.sqrt(float(rt.Cp[:, 0] @ rt.ACp[:, 0]))
+    return np.where(a * b > 0, 0.5 * np.sign(a) * (erfc(np.abs(b)) - erfc(np.abs(a))),
+                    0.5 * (erf(a) - erf(b)))
 
 
 class _CountExceeded(BudgetExceeded):
@@ -462,50 +466,57 @@ def _enumerate_shifts(U: np.ndarray, t: np.ndarray, radius: float, max_points: i
     return np.concatenate(found)
 
 
-def _shell_tail(a: float, R: float, d: float, n: int, covol: float) -> float:
-    """Bound on sum over lattice points with ||z|| > R of e^{-a(||z||)^2}
-    via cells of diameter bound 2d:
+# the s of Rankin's trick that T is minimised over; k^2 for |k| = 1..6
+_S_GRID = np.linspace(0.05, 0.95, 19)
+_K2 = np.arange(1, 7) ** 2.0
 
-        (omega_{n-1}/covol) int_{R-d}^inf rho^{n-1} e^{-a (rho-d)^2} drho.
 
-    Requires R > 2d; the integral is a finite incomplete-gamma sum. A decay
-    rate so small that a^s underflows gives inf, the bound that still holds.
-    """
-    X = R - 2.0 * d
-    if X <= 0:
-        return math.inf
-    total = 0.0
-    aX2 = a * X * X
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for i in range(n):
-            # int_X^inf sigma^i e^{-a sigma^2} dsigma
-            s = (i + 1) / 2.0
-            integral = gamma_fn(s) * gammaincc(s, aX2) / (2.0 * a ** s)
-            total += comb(n - 1, i) * d ** (n - 1 - i) * integral
-        omega = 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
-        bound = omega / covol * total
-    return bound if math.isfinite(bound) else math.inf
+def _log_majorants(rt: _PairRuntime, a: float) -> np.ndarray:
+    """log F_s = sum_i log theta_3((1 - s) a u_ii^2), s in _S_GRID: F_s bounds
+    sum_{y in Z^n + t} e^{-(1-s) a S[y]} for every shift t. theta_3(beta) is
+    the direct sum for beta >= pi, else its Poisson dual (pi/beta)^{1/2}
+    sum_w e^{-pi^2 w^2 / beta}, to e^{-49 pi} relative; beta = 0 gives inf."""
+    beta = np.outer(1.0 - _S_GRID, a * rt.u2)
+    with np.errstate(divide="ignore", over="ignore"):
+        dual = beta < math.pi
+        rate = np.where(dual, math.pi ** 2 / beta, beta)
+        log_t3 = np.log1p(2.0 * np.exp(-rate[..., None] * _K2).sum(axis=-1))
+        log_t3 = np.where(dual, 0.5 * np.log(math.pi / beta) + log_t3, log_t3)
+    return log_t3.sum(axis=1)
+
+
+def _region(log_f: np.ndarray, a: float, tol: float, K: float) -> float:
+    """The least T over _S_GRID with K e^{-s a T} F_s <= tol e^{-1e-9} (the
+    margin outlasts the rounding of s a T); inf where a underflows to 0."""
+    with np.errstate(divide="ignore"):
+        return max(float(np.min((log_f - math.log(tol / K) + 1e-9) / (_S_GRID * a))), 0.0)
+
+
+def _tail_bound(log_f: np.ndarray, a: float, T: float, K: float) -> float:
+    """K min_s e^{-s a T} F_s: a bound on the sum of |terms| with S[y] > T."""
+    return K * float(np.exp(np.min(log_f - _S_GRID * (a * T))))
 
 
 def enumerate_lattice(spec: ThetaSpec, radius: float, max_points: int = 10_000_000) -> np.ndarray:
-    """Integer shifts m such that P_+(m + offset + b) <= radius^2, where the
-    summation variable is k = m + offset, offset = mu + p/2. Deterministic
-    lexicographic order. Raises BudgetExceeded (without a partial value)
-    where more than max_points points lie within the radius."""
+    """Integer shifts m such that -Q_-(m + offset + b) <= radius^2, where the
+    summation variable is k = m + offset, offset = mu + p/2, and Q_- is the
+    pair's certified majorant. Deterministic lexicographic order. Raises
+    BudgetExceeded (without a partial value) where more than max_points
+    points lie within the radius."""
     if not (math.isfinite(radius) and radius >= 0):
         raise ValidationError(f"radius must be finite and non-negative, got {radius}")
     if max_points < 1:
         raise ValidationError("max_points must be positive")
-    t = np.array([float(o) for o in spec.offset]) + spec.b
-    return _enumerate_budgeted(_pair_runtime(spec.pair), t, radius, max_points)
+    return _enumerate_budgeted(_pair_runtime(spec.pair), spec.offset_float + spec.b,
+                               radius, max_points)
 
 
 def _holo_phi_vals(rt: _PairRuntime, Y: np.ndarray):
     """Vectorized holomorphic kernel on rows of Y, plus wall-hit mask.
 
     phi_r is scale invariant so Y may be k+b without the sqrt(2 tau_2)."""
-    s1 = Y @ (rt.A @ rt.C)
-    s2 = Y @ (rt.A @ rt.Cp)
+    s1 = Y @ rt.AC
+    s2 = Y @ rt.ACp
     scale = max(float(np.max(np.abs(s1), initial=0.0)),
                 float(np.max(np.abs(s2), initial=0.0)), 1.0)
     hits = (np.abs(s1) <= 1e-12 * scale) | (np.abs(s2) <= 1e-12 * scale)
@@ -513,29 +524,27 @@ def _holo_phi_vals(rt: _PairRuntime, Y: np.ndarray):
     return vals, hits.any(axis=1)
 
 
-def _assemble_value(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime):
-    n = spec.form.n
+def _terms(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime):
+    """The series' term at k = m + offset for each row of m, and the wall
+    hits (capped at WALL_HIT_CAP) of the holomorphic kernel."""
     A = spec.form.matrix()
-    offset = spec.offset
-    off = np.array([float(o) for o in offset])
-    K = m + off
+    K = m + spec.offset_float
     Y = K + spec.b
     tau = spec.tau
-    Qy = np.einsum("ki,ij,kj->k", Y, A, Y)
-    p = np.array(spec.p, dtype=float)
-    Bkp = K @ (A @ p)
+    Qy = ((Y @ A) * Y).sum(axis=1)
+    Bkp = K @ (A @ np.array(spec.p, dtype=float))
     Bc = (K + spec.b / 2.0) @ (A @ spec.c_ell)
     wall_hits = []
     if spec.kernel == "holomorphic":
         phi, hits = _holo_phi_vals(rt, Y)
         for idx in np.nonzero(hits)[0][:WALL_HIT_CAP]:
-            wall_hits.append(tuple(Fraction(int(m[idx, i])) + offset[i]
-                                   for i in range(n)))
+            wall_hits.append(tuple(Fraction(int(m[idx, i])) + spec.offset[i]
+                                   for i in range(spec.form.n)))
         # support bound Q(y) <= Q_-(y) wherever phi != 0; certificate guarantee
         sup = phi != 0
         if np.any(sup):
-            Qm_y = np.einsum("ki,ij,kj->k", Y[sup], rt.q_minus, Y[sup])
-            slack = Qm_y - Qy[sup]
+            Ys = Y[sup]
+            slack = ((Ys @ rt.q_minus) * Ys).sum(axis=1) - Qy[sup]
             if np.min(slack) < -1e-9 * max(1.0, float(np.max(np.abs(Qy[sup])))):
                 raise ValidationError(
                     "support point violates Q <= Q_-; certificate inconsistent")
@@ -551,86 +560,76 @@ def _assemble_value(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime):
         z = (1j * math.pi * Bkp[sup] - 1j * math.pi * tau * Qy[sup]
              + 2j * math.pi * Bc[sup] + np.log(mag[sup]))
         terms[sup] = (phi[sup] / mag[sup]) * np.exp(z)
-    return _tree_sum(terms), wall_hits
+    return terms, wall_hits
 
 
 def eval_theta(spec: ThetaSpec, policy: TruncationPolicy = TruncationPolicy()) -> ThetaValue:
-    """Sums the series inside an ellipsoid P_+ <= R^2 with R doubled until
-    the analytic Gaussian tail bound (times safety factor 2), which rests on
-    the pair's cone certificate, is below policy.tol.
-
-    Raises BudgetExceeded carrying the best partial ThetaValue if the
-    enumeration would exceed policy.max_points.
+    """Sums the series over the ellipsoid -Q_-(k + b) <= T, T in closed form
+    from the Rankin bound of the module docstring (at least
+    initial_radius^2); that bound, below policy.tol, is the tail_estimate.
+    Where more than policy.max_points points lie within T, raises
+    BudgetExceeded carrying the partial ThetaValue of a smaller ellipsoid
+    (_budget_region) with the bound there.
     """
     rt = _pair_runtime(spec.pair)
-    gamma = rt.gamma_holo if spec.kernel == "holomorphic" else rt.gamma_hat
-    Kpre = 1.0 if spec.kernel == "holomorphic" else rt.K_hat
+    gamma, K = (1.0, 1.0) if spec.kernel == "holomorphic" else (rt.gamma_hat, rt.K_hat)
     a = math.pi * spec.tau.imag * gamma
-    R = policy.initial_radius or max(3.0, 2.0 * rt.cell_d + 1.0)
-    R = max(R, 2.0 * rt.cell_d + 0.5)
-
-    def tail_at(radius):
-        return 2.0 * Kpre * _shell_tail(a, radius, rt.cell_d, rt.n, rt.covol)
-
-    # a tiny tau_2 can keep the bound above tol up to R = inf, which no
-    # budget reaches; the enumeration below then reports the overrun
-    tail = tail_at(R)
-    while tail > policy.tol and math.isfinite(R):
-        R *= 2.0
-        tail = tail_at(R)
-    t = np.array([float(o) for o in spec.offset]) + spec.b
+    log_f = _log_majorants(rt, a)
+    T = max(_region(log_f, a, policy.tol, K), (policy.initial_radius or 0.0) ** 2)
+    t = spec.offset_float + spec.b
+    overrun = None
     try:
-        m = _enumerate_budgeted(rt, t, R, policy.max_points)
+        m = _enumerate_budgeted(rt, t, math.sqrt(T), policy.max_points)
     except _CountExceeded:
-        m, R_fit = _largest_feasible(rt, t, R, policy.max_points)
-        value, hits = _assemble_value(spec, m, rt)
-        tail_fit = tail_at(R_fit)
-        partial = ThetaValue(value=value, n_points=m.shape[0],
-                             tail_estimate=tail_fit, wall_hits=hits)
-        raise BudgetExceeded(
-            f"enumeration at radius {R:.3g} exceeds max_points={policy.max_points}",
-            partial=partial)
-    value, hits = _assemble_value(spec, m, rt)
-    return ThetaValue(value=value, n_points=m.shape[0], tail_estimate=tail,
-                      wall_hits=hits)
+        overrun = (f"enumeration at radius {math.sqrt(T):.3g} exceeds "
+                   f"max_points={policy.max_points}")
+        m, T = _budget_region(rt, t, T, policy.max_points)
+    terms, hits = _terms(spec, m, rt)
+    value = ThetaValue(value=_tree_sum(terms), n_points=m.shape[0],
+                       tail_estimate=_tail_bound(log_f, a, T, K), wall_hits=hits)
+    if overrun:
+        raise BudgetExceeded(overrun, partial=value)
+    return value
 
 
-def _log_count_floor(rt: _PairRuntime, R: float) -> float:
-    """Log of a lower bound on the number of points enumerated at radius R.
-
-    The cells U [-1/2, 1/2]^n around the lattice points tile space and reach
-    at most cell_d from their centres, so the cells of the points within R
-    cover the ball of radius R - cell_d: there are at least
-    vol(B_n(R - cell_d)) / covol of them. R is first shrunk by 1e-9, below
-    any point the float enumeration could drop at the boundary; logs keep
-    every radius finite.
-    """
-    reach = R * (1.0 - 1e-9) - rt.cell_d
-    if reach <= 0.0:
-        return -math.inf
+def _ball_radius(rt: _PairRuntime, count: float) -> float:
+    """The R with vol(B_n(R)) / covol = count, capped at e^700 (past any
+    interval _enumerate_shifts accepts). In the frame z = U y the boxes
+    diag(u_ii) [-1/2, 1/2)^n around the lattice points tile space (Babai's
+    nearest plane), have volume covol and reach cell_d = |diag U| / 2 from
+    their centres; so the points within R number from count(R - cell_d) to
+    count(R + cell_d)."""
     n = rt.n
-    return (n * math.log(reach) + 0.5 * n * math.log(math.pi)
-            - math.lgamma(0.5 * n + 1.0) - math.log(rt.covol))
+    log_ball = 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+    return math.exp(min((math.log(count * rt.covol) - log_ball) / n, 700.0))
+
+
+def _budget_region(rt: _PairRuntime, t: np.ndarray, T: float, max_points: int):
+    """(points, T') of an ellipsoid S[y] <= T' < T within max_points, for a
+    budget T overruns: the T' whose volume holds max_points / 2 points or,
+    where that overruns too, the largest T' whose boxes (_ball_radius) hold
+    at most max_points (shrunk past the enumerator's n 1e-12 slack and the
+    rounding of each point's length)."""
+    guess = _ball_radius(rt, max_points / 2.0)
+    if guess * guess < T:
+        try:
+            return _enumerate_shifts(rt.chol_u, t, guess, max_points), guess * guess
+        except _CountExceeded:
+            pass
+    reach = max(_ball_radius(rt, max_points) - rt.cell_d, 0.0)
+    T_fit = max(reach * reach * (1.0 - 1e-9) - rt.n * 1e-12, 0.0)
+    return _enumerate_shifts(rt.chol_u, t, math.sqrt(T_fit), max_points), T_fit
 
 
 def _enumerate_budgeted(rt: _PairRuntime, t: np.ndarray, R: float, max_points: int):
     """_enumerate_shifts in the pair's frame; raises _CountExceeded without
-    enumerating where the count floor already exceeds max_points."""
-    if _log_count_floor(rt, R) > math.log(max_points) + 1e-9:
+    enumerating where the count floor of _ball_radius already exceeds
+    max_points (R is first shrunk by 1e-9, below any point the float
+    enumeration could drop at the boundary)."""
+    if R * (1.0 - 1e-9) - rt.cell_d > _ball_radius(rt, max_points) * (1.0 + 1e-9):
         raise _CountExceeded(f"the volume floor puts more than {max_points} points "
                              f"within radius {R:.6g}")
     return _enumerate_shifts(rt.chol_u, t, R, max_points)
-
-
-def _largest_feasible(rt: _PairRuntime, t, R, max_points):
-    R = min(R, sys.float_info.max)  # halving inf would never end
-    while R > 1.0:
-        R /= 2.0
-        try:
-            return _enumerate_budgeted(rt, t, R, max_points), R
-        except _CountExceeded:
-            continue
-    return np.zeros((0, rt.n), dtype=np.int64), 0.0
 
 
 # n^2 max|coefficient| max|K|^2 below this bound keeps every product and
@@ -660,25 +659,29 @@ def q_expansion(spec: ThetaSpec, n_terms: int,
 
     The class-constant phase e^{pi i (B(mu,p) + Q(p)/2)} is factored out as
     phase_exponent, leaving pure rational coefficients ((-1)^{B(m,p)} times
-    phi values); they are integers when no wall hit touches the class.
-    Completeness: on the support P_+(k) <= -Q(k)/gamma, so every class with
-    exponent <= gamma R^2 / 2 is provably complete inside radius R; R
-    doubles until n_terms complete classes exist.
+    phi values); they are integers when no support point of the class lies
+    on a wall (wall_affected). Only support classes are reported.
+    Completeness: a support point of exponent <= E has -Q_-(k) <= -Q(k) <=
+    2E. A probe enumerates -Q_-(k) <= T, T doubling from the ellipsoid whose
+    volume holds n_terms points, until n_terms support classes are seen;
+    with E the largest of their exponents, the ellipsoid -Q_-(k) <= 2E
+    (widened by 1e-9 relative for rounding) holds every class up to E in
+    full. Where its n_terms-th class lies below E, that class's ellipsoid is
+    enumerated instead, so terms, n_points and radius = sqrt(2 E_n), E_n the
+    last exponent returned, depend on n_terms alone.
 
-    All points of a radius are handled at once in an integer frame. With D
-    the lcm of the denominators of offset = mu + p/2, each point k = m +
-    offset becomes K = D m + D offset; each cone vector is scaled by the lcm
-    of its own denominators, and Q_- by L, the lcm of its entries'
-    denominators. These scales are positive, so the signs of B(c_j, K) and
-    B(c'_j, K) are those of B(c_j, k) and B(c'_j, k), 2^r phi_r(k) is the
-    product of their differences, Q(K) = D^2 Q(k), and the certificate
-    Q(k) <= Q_-(k) is checked exactly on every support point as
-    L Q(K) <= (L Q_-)(K). Classes are keyed by the integer Q(K) and summed
-    with np.add.at; a Fraction is built only for the returned terms. The
-    arrays are int64 when n^2 max|coefficient| max(|K|, |m|)^2 < 2^62
-    (coefficients: the entries of L A, L Q_-, A C, A C' and A p), which
-    bounds every sum they go through, and Python ints (dtype object)
-    otherwise; both run the same code.
+    All points of an enumeration are handled at once in an integer frame:
+    with D the lcm of the denominators of offset = mu + p/2, k = m + offset
+    becomes K = D m + D offset, each cone vector is scaled by the lcm of its
+    denominators and Q_- by L, the lcm of its entries' denominators. These
+    scales are positive, so the signs of B(c_j, K) and B(c'_j, K) give
+    2^r phi_r(k), Q(K) = D^2 Q(k), and Q(k) <= Q_-(k) is checked exactly on
+    every support point as L Q(K) <= (L Q_-)(K). Classes are keyed by the
+    integer Q(K) and summed with np.add.at; a Fraction is built only for the
+    returned terms. The arrays are int64 when n^2 max|coefficient|
+    max(|K|, |m|)^2 < 2^62 (coefficients: the entries of L A, L Q_-, A C,
+    A C' and A p), which bounds every sum they go through, and Python ints
+    (dtype object) otherwise; both run the same code.
     """
     if spec.kernel != "holomorphic":
         raise ValidationError("q-expansion requires the holomorphic kernel")
@@ -702,16 +705,12 @@ def q_expansion(spec: ThetaSpec, n_terms: int,
              A @ C, A @ Cp, A @ np.array(spec.p, dtype=object)]
     coef = max([L * max(abs(a) for row in spec.form.rows for a in row)]
                + [abs(int(x)) for F in frame for x in F.flat])
-    gamma_lb = rt.gamma_holo * (1.0 - 1e-9)
-    R = max(3.0, 2.0 * rt.cell_d + 0.5)
-    t = np.array([float(o) for o in off])
-    while True:
-        try:
-            m = _enumerate_budgeted(rt, t, R, policy.max_points)
-        except _CountExceeded:
-            raise BudgetExceeded(
-                f"q-expansion enumeration at radius {R:.3g} exceeds max_points",
-                partial=None)
+
+    def support_classes(T):
+        """(number of points, D^2 Q of each support class by ascending exponent,
+        class sums of 2^r (-1)^{B(m,p)} phi_r, wall flags) on -Q_-(k) <= T;
+        an overrun is a BudgetExceeded without a partial value."""
+        m = _enumerate_budgeted(rt, spec.offset_float, math.sqrt(T), policy.max_points)
         size = D * int(np.abs(m).max(initial=0)) + max(abs(x) for x in k_off)
         dtype = _frame_dtype(n, coef, max(size, 1))
         Af, LQm, AC, ACp, Ap = (F.astype(dtype) for F in frame)
@@ -719,19 +718,14 @@ def q_expansion(spec: ThetaSpec, n_terms: int,
         K = M * D + np.array(k_off, dtype=dtype)
         s1, s2 = K @ AC, K @ ACp
         f = ((s1 > 0).astype(np.int64) - (s1 < 0)) - ((s2 > 0).astype(np.int64) - (s2 < 0))
-        # the sign product stops at its first zero factor: a vanishing sign
-        # argument counts as a wall hit only up to that factor
-        reached = np.ones(f.shape, dtype=bool)
-        reached[:, 1:] = np.logical_and.accumulate(f != 0, axis=1)[:, :-1]
-        hit = (reached & ((s1 == 0) | (s2 == 0))).any(axis=1)
         phi = f.prod(axis=1)  # 2^r phi_r(k)
-        keep = (phi != 0) | hit
-        K, M, phi, hit = K[keep], M[keep], phi[keep], hit[keep]
-        q = ((K @ Af) * K).sum(axis=1)  # D^2 Q(k)
         sup = phi != 0
-        bad = L * q[sup] > ((K[sup] @ LQm) * K[sup]).sum(axis=1)
+        K, M, phi = K[sup], M[sup], phi[sup]
+        hit = ((s1[sup] == 0) | (s2[sup] == 0)).any(axis=1)
+        q = ((K @ Af) * K).sum(axis=1)  # D^2 Q(k)
+        bad = L * q > ((K @ LQm) * K).sum(axis=1)
         if bad.any():
-            k = tuple(Fraction(int(x)) + o for x, o in zip(M[sup][np.argmax(bad)], off))
+            k = tuple(Fraction(int(x)) + o for x, o in zip(M[np.argmax(bad)], off))
             raise ValidationError(f"support point {k} violates Q <= Q_- exactly")
         contrib = np.where((M @ Ap) % 2 == 0, phi, -phi)
         classes, inv = np.unique(q, return_inverse=True)
@@ -740,19 +734,24 @@ def q_expansion(spec: ThetaSpec, n_terms: int,
         flags = np.zeros(len(classes), dtype=bool)
         np.logical_or.at(flags, inv, hit)
         # exponents -q / 2D^2 ascend as q descends
-        first = np.arange(len(classes))[::-1][:n_terms]
-        exponents = [Fraction(-int(classes[i]), 2 * D * D) for i in first]
-        complete_cut = Fraction(gamma_lb * R * R / 2.0).limit_denominator(10 ** 12)
-        if len(exponents) == n_terms and exponents[-1] <= complete_cut:
-            break
-        R *= 2.0
-    terms = tuple(QTerm(exponent=e, coefficient=Fraction(int(sums[i]), 2 ** r),
+        return m.shape[0], classes[::-1], sums[::-1], flags[::-1]
+
+    T = _ball_radius(rt, n_terms) ** 2
+    while len(seen := support_classes(T)[1]) < n_terms:
+        T *= 2.0
+    two_e, least = None, Fraction(-int(seen[n_terms - 1]), D * D)
+    while least != two_e:
+        two_e = least
+        n_points, classes, sums, flags = support_classes(float(two_e) * (1.0 + 1e-9))
+        least = Fraction(-int(classes[n_terms - 1]), D * D)
+    terms = tuple(QTerm(exponent=Fraction(-int(classes[i]), 2 * D * D),
+                        coefficient=Fraction(int(sums[i]), 2 ** r),
                         wall_affected=bool(flags[i]))
-                  for e, i in zip(exponents, first))
+                  for i in range(n_terms))
     Aex = spec.form.exact()
     mu_p = sum(Fraction(spec.p[i]) * ra.dot([Fraction(a) for a in Aex[i]], list(spec.mu))
                for i in range(n))
     qp = sum(Fraction(spec.p[i]) * Aex[i][j] * spec.p[j] for i in range(n) for j in range(n))
     phase = (mu_p + Fraction(qp, 2)) % 2
-    return QExpansion(terms=terms, phase_exponent=phase, n_points=int(m.shape[0]),
-                      radius=R)
+    return QExpansion(terms=terms, phase_exponent=phase, n_points=n_points,
+                      radius=math.sqrt(two_e))

@@ -575,9 +575,16 @@ def _qexp_pair() -> ConePair:
 
 
 def _check_theta_enum_box(rng, full):
-    # on the hyperbolic plane P_+ = I: the ball of radius 1.5 is the 3 x 3 box
-    pts = enumerate_lattice(_theta_spec(), 1.5)
-    ok = sorted(map(tuple, pts)) == [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    # the ellipsoid -Q_-[m] <= 9 of the hyperbolic pair against every point
+    # of a box around it (|m_i|^2 <= 9 (Q_-^-1)_ii there), filtered exactly
+    spec = _theta_spec()
+    S = [[-x for x in row] for row in check_cone_pair(spec.pair).q_minus]
+    Sinv = ra.inverse(S)
+    h0, h1 = (math.isqrt(math.ceil(9 * Sinv[i][i])) for i in range(2))
+    box = [(a, b) for a in range(-h0, h0 + 1) for b in range(-h1, h1 + 1)
+           if S[0][0] * a * a + 2 * S[0][1] * a * b + S[1][1] * b * b <= 9]
+    pts = enumerate_lattice(spec, 3.0)
+    ok = sorted(map(tuple, pts.tolist())) == box
     return 0.0 if ok else 1.0, 0.0, f"{pts.shape[0]} points"
 
 
@@ -654,22 +661,18 @@ def _check_theta_elliptic(rng, full):
 
 
 def _check_theta_convergence_witness(rng, full):
-    # sum of |terms| is monotone in R; increments bounded by the tail estimate
+    # sum of |terms| over -Q_- <= R^2 is monotone in R; each increment is
+    # bounded by the tail bound at the smaller R
     spec = _theta_spec(tau=0.3 + 1.0j, b=np.array([0.1, 0.2]), c=np.array([-0.15, 0.05]))
-    from .theta import _holo_phi_vals, _pair_runtime, _shell_tail
+    from .theta import _log_majorants, _pair_runtime, _tail_bound, _terms
     rt = _pair_runtime(spec.pair)
-    t = np.array([float(o) for o in spec.offset]) + spec.b
-    a = math.pi * spec.tau.imag * rt.gamma_holo
+    a = math.pi * spec.tau.imag
+    log_f = _log_majorants(rt, a)
     sums, tails = [], []
-    for R in (4.0, 8.0, 16.0):
-        pts = enumerate_lattice(spec, R)
-        Y = pts + t
-        Qy = np.einsum("ki,ij,kj->k", Y, rt.A, Y)
-        phi, _ = _holo_phi_vals(rt, Y)
-        sup = phi != 0.0
-        sums.append(float(np.sum(np.abs(phi[sup])
-                                 * np.exp(math.pi * spec.tau.imag * Qy[sup]))))
-        tails.append(2.0 * _shell_tail(a, R, rt.cell_d, rt.n, rt.covol))
+    for R in (1.0, 2.0, 4.0):
+        terms, _ = _terms(spec, enumerate_lattice(spec, R), rt)
+        sums.append(float(np.sum(np.abs(terms))))
+        tails.append(_tail_bound(log_f, a, R * R, 1.0))
     mono = max(0.0, sums[0] - sums[1], sums[1] - sums[2])
     cauchy = max(sums[1] - sums[0] - tails[0], sums[2] - sums[1] - tails[1])
     return max(mono, cauchy), 0.0, "monotone and Cauchy under doubling"

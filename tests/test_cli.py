@@ -190,10 +190,11 @@ def test_theta_qexp_document(capsys, tmp_path):
                                "wall_affected": False}
 
 
-# the document of the exact Fraction loop, byte for byte
+# the document of the exact Fraction loop, byte for byte; the 60 points of
+# -Q_-(k) <= 2 * 103/8, radius sqrt(25.75)
 D12_QEXP_8 = (
     '{"command": "theta", "mode": "qexp", "partial": false, "phase_exponent": '
-    '{"num": "1", "den": "2"}, "n_points": 324, "radius": 12, "terms": ['
+    '{"num": "1", "den": "2"}, "n_points": 60, "radius": 5.0744457825461096, "terms": ['
     '{"exponent": {"num": "7", "den": "8"}, "coefficient": {"num": "2", "den": "1"}, '
     '"wall_affected": false}, '
     '{"exponent": {"num": "23", "den": "8"}, "coefficient": {"num": "-2", "den": "1"}, '
@@ -281,7 +282,8 @@ def test_theta_lambda_must_be_zero(capsys, tmp_path):
 
 def test_theta_budget_exit(capsys, tmp_path):
     doc_in = dict(HYP_THETA)
-    doc_in["policy"] = {"tol": 1e-9, "max_points": 30}
+    # tol 1e-9 asks for 9 points at tau = i
+    doc_in["policy"] = {"tol": 1e-9, "max_points": 5}
     cfg = write_config(tmp_path, "budget.json", doc_in)
     code, doc, err = run_cli(capsys, "theta", "--config", cfg)
     assert code == 4

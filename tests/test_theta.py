@@ -6,6 +6,7 @@ import gc
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from thetaforge.cones import ConePair, build_a4_example
 from thetaforge.exceptions import BudgetExceeded, ValidationError
 from thetaforge.quadform import BilinearForm
 from thetaforge.theta import (QExpansion, QTerm, ThetaSpec, TruncationPolicy, _CountExceeded,
-                              _enumerate_shifts, _log_count_floor, _pair_runtime,
+                              _ball_radius, _enumerate_shifts, _pair_runtime,
                               discriminant_group, enumerate_lattice, eval_theta, kernel_phi,
                               kernel_phi_hat, q_expansion)
 
@@ -73,14 +74,18 @@ def brute_force_theta(spec: ThetaSpec, box: int) -> complex:
 
 
 def test_enumeration_balls():
-    # majorant of the hyperbolic plane is the identity, so the enumeration
-    # region is the round ball: radius 1 gives the 5-point cross, radius 1.5
-    # adds the corners for the full 3x3 box
+    # the hyperbolic pair's metric -Q_- is [[6, 8], [8, 12]], so S[m] =
+    # 6 m1^2 + 16 m1 m2 + 12 m2^2: radius 1 holds the origin alone, radius
+    # 1.5 adds +-(1, -1) (S = 2) and radius 2 adds +-(2, -1), which lie on
+    # the boundary S = 4
     spec = hyp_spec()
+    assert np.array_equal(_pair_runtime(spec.pair).metric, [[6.0, 8.0], [8.0, 12.0]])
     got = {tuple(int(x) for x in row) for row in enumerate_lattice(spec, radius=1.0)}
-    assert got == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert got == {(0, 0)}
     got = {tuple(int(x) for x in row) for row in enumerate_lattice(spec, radius=1.5)}
-    assert got == {(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+    assert got == {(0, 0), (1, -1), (-1, 1)}
+    got = {tuple(int(x) for x in row) for row in enumerate_lattice(spec, radius=2.0)}
+    assert got == {(0, 0), (1, -1), (-1, 1), (2, -1), (-2, 1)}
 
 
 def test_odd_symmetry_value_is_zero():
@@ -136,12 +141,13 @@ def test_runtime_cache_frees_collected_pairs():
 
 
 def test_budget_exceeded_carries_partial():
+    # tol 1e-10 asks for 11 points at tau = i
     spec = hyp_spec()
     with pytest.raises(BudgetExceeded) as exc_info:
-        eval_theta(spec, TruncationPolicy(tol=1e-10, max_points=30))
+        eval_theta(spec, TruncationPolicy(tol=1e-10, max_points=5))
     partial = exc_info.value.partial
     assert partial is not None
-    assert partial.n_points <= 30
+    assert partial.n_points <= 5
 
 
 def recursive_shifts(U, t, radius, max_points):
@@ -322,19 +328,34 @@ def test_tiny_imaginary_tau_ends_in_budget():
     assert not math.isnan(partial.tail_estimate)
 
 
+def ball_count(n, covol, R):
+    """vol(B_n(R)) / covol, 0 for R <= 0."""
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * max(R, 0.0) ** n / covol
+
+
 def test_count_floor_is_a_lower_bound(a4_pair):
+    # the Gram-Schmidt boxes of the points within R cover the ball of radius
+    # R - cell_d and lie in the ball of radius R + cell_d
     rng = np.random.default_rng(7)
     for name, pair, radii in oracle_pairs(a4_pair):
         rt = _pair_runtime(pair)
         for radius in radii + (2.0 * radii[-1],):
             t = rng.uniform(-1.0, 1.0, pair.n)
             count = _enumerate_shifts(rt.chol_u, t, radius, 10 ** 7).shape[0]
-            assert math.exp(_log_count_floor(rt, radius)) <= count, (name, radius)
+            assert ball_count(pair.n, rt.covol, radius * (1.0 - 1e-9) - rt.cell_d) <= count, \
+                (name, radius)
+            assert count <= ball_count(pair.n, rt.covol, radius * (1.0 + 1e-9) + rt.cell_d), \
+                (name, radius)
+            if count:
+                assert _ball_radius(rt, count) == pytest.approx(
+                    (count / ball_count(pair.n, rt.covol, 1.0)) ** (1.0 / pair.n), rel=1e-12)
 
 
 def test_budget_overrun_skips_radii_that_cannot_fit(a4_pair, monkeypatch):
-    # A4 at tau = 2i: the tail bound asks for R = 41.6, and the count floor
-    # rules out 41.6, 20.8 and 10.4 at max_points = 1e5 without enumerating
+    # A4 at tau = 2i, tol 1e-100: the count floor rules out the region the
+    # tail bound asks for (R = 6.34) at max_points = 1000 without
+    # enumerating; the partial comes from one enumeration, at the radius
+    # whose volume holds max_points / 2 points
     spec = ThetaSpec(form=a4_pair.form, mu=(0,) * 8, p=(0,) * 8, b=np.zeros(8),
                      c_ell=np.zeros(8), tau=2j, kernel="holomorphic", pair=a4_pair)
     radii = []
@@ -346,10 +367,15 @@ def test_budget_overrun_skips_radii_that_cannot_fit(a4_pair, monkeypatch):
 
     monkeypatch.setattr(theta, "_enumerate_shifts", spy)
     with pytest.raises(BudgetExceeded) as exc_info:
-        eval_theta(spec, TruncationPolicy(tol=1e-2, max_points=100_000))
-    assert len(radii) == 2
-    assert radii[1] == radii[0] / 2.0
-    assert exc_info.value.partial.n_points == 8569
+        eval_theta(spec, TruncationPolicy(tol=1e-100, max_points=1000))
+    rt = _pair_runtime(a4_pair)
+    assert radii == [pytest.approx((500 / ball_count(8, rt.covol, 1.0)) ** 0.125, rel=1e-12)]
+    partial = exc_info.value.partial
+    assert partial.n_points == 241
+    a = math.pi * 2.0
+    assert partial.tail_estimate == theta._tail_bound(theta._log_majorants(rt, a), a,
+                                                      radii[0] ** 2, 1.0)
+    assert 0 < partial.tail_estimate < 1e-4
 
 
 def test_discriminant_group_d22():
@@ -428,31 +454,31 @@ def test_qexp_reconstructs_value():
 
 def test_qexp_wall_classes_flagged():
     """On the hyperbolic plane with mu = 0 the support boundary passes through
-    lattice points: those classes carry wall_affected and their coefficients
-    depend on the sign(0) = 0 convention."""
+    lattice points: the classes of k = (-j, j) and (-2j, j), exponents j^2
+    and 2 j^2, hold support points of weight 1/2 on a wall, carry
+    wall_affected and depend on the sign(0) = 0 convention. The interior
+    classes are k1 k2 = -6, -12, -15, ... The origin, on both walls with
+    phi = 0, is no support point, so exponent 0 is no class."""
     spec = hyp_spec()
     qe = q_expansion(spec, n_terms=9)
-    flags = {t.exponent: t.wall_affected for t in qe.terms}
-    for e in (0, 1, 2, 4, 8, 9):
-        assert flags[Fraction(e)] is True, e
-    for e in (6, 12, 15):
-        assert flags[Fraction(e)] is False, e
+    got = [(t.exponent, t.wall_affected) for t in qe.terms]
+    assert got == [(Fraction(e), e not in (6, 12, 15)) for e in (1, 2, 4, 6, 8, 9, 12, 15, 16)]
     # this class is even under k -> -k, so the odd kernel cancels every term
     assert all(t.coefficient == 0 for t in qe.terms)
 
 
 def fraction_q_expansion(spec: ThetaSpec, n_terms: int):
     """Reference q-expansion: one point at a time in Fraction arithmetic.
-    The sign product stops at its first zero factor, and a vanishing sign
-    argument up to there flags a wall hit; Q <= Q_- is checked on each
-    support point. Same radius rule as q_expansion, so (terms, n_points,
-    radius) must agree exactly."""
+    Only support points (phi != 0) make classes, a vanishing sign argument
+    among them flags a wall hit, and Q <= Q_- is checked on each. The
+    region -Q_-(k) <= T doubles from T = 1 until n_terms classes have
+    exponent <= T/2, which makes them complete; with E_n the last of them,
+    the points of -Q_-(k) <= 2 E_n (1 + 1e-9) are counted. q_expansion's
+    region is that one, so (terms, n_points, radius) must agree exactly."""
     rt = _pair_runtime(spec.pair)
     A = spec.form.exact()
     q_minus = rt.report.q_minus
     off = spec.offset
-    gamma_lb = rt.gamma_holo * (1.0 - 1e-9)
-    R = max(3.0, 2.0 * rt.cell_d + 0.5)
     t = np.array([float(o) for o in off])
 
     def dot(u, v):
@@ -461,8 +487,8 @@ def fraction_q_expansion(spec: ThetaSpec, n_terms: int):
     def sign(x):
         return (x > 0) - (x < 0)
 
-    while True:
-        m = _enumerate_shifts(rt.chol_u, t, R, 10 ** 7)
+    def classes_within(T):
+        m = _enumerate_shifts(rt.chol_u, t, math.sqrt(T), 10 ** 7)
         classes = {}
         for row in m:
             k = [Fraction(int(x)) + o for x, o in zip(row, off)]
@@ -471,29 +497,32 @@ def fraction_q_expansion(spec: ThetaSpec, n_terms: int):
             for c, cp in zip(spec.pair.C, spec.pair.C_prime):
                 s1, s2 = dot(c, Ak), dot(cp, Ak)
                 hit = hit or s1 == 0 or s2 == 0
-                f = sign(s1) - sign(s2)
-                if f == 0:
-                    phi = Fraction(0)
-                    break
-                phi *= Fraction(f, 2)
-            if phi == 0 and not hit:
+                phi *= Fraction(sign(s1) - sign(s2), 2)
+            if phi == 0:
                 continue
             qk = dot(k, Ak)
-            if phi != 0 and qk > dot(k, [dot(row_q, k) for row_q in q_minus]):
+            if qk > dot(k, [dot(row_q, k) for row_q in q_minus]):
                 raise ValidationError(f"support point {tuple(k)} violates Q <= Q_- exactly")
             bmp = sum(int(row[i]) * spec.p[j] * A[i][j]
                       for i in range(spec.form.n) for j in range(spec.form.n))
             cur = classes.setdefault(-qk / 2, [Fraction(0), False])
             cur[0] += phi if bmp % 2 == 0 else -phi
             cur[1] = cur[1] or hit
-        cut = Fraction(gamma_lb * R * R / 2.0).limit_denominator(10 ** 12)
-        complete = sorted(e for e in classes if e <= cut)
+        return classes
+
+    T = 1.0
+    while True:
+        classes = classes_within(T)
+        complete = sorted(e for e in classes if e <= T / 2)
         if len(complete) >= n_terms:
             break
-        R *= 2.0
+        T *= 2.0
+    E = complete[n_terms - 1]
     terms = tuple(QTerm(exponent=e, coefficient=classes[e][0], wall_affected=classes[e][1])
                   for e in complete[:n_terms])
-    return terms, m.shape[0], R
+    n_points = _enumerate_shifts(rt.chol_u, t, math.sqrt(float(2 * E) * (1.0 + 1e-9)),
+                                 10 ** 7).shape[0]
+    return terms, n_points, math.sqrt(2 * E)
 
 
 def qexp_spec(name: str) -> ThetaSpec:
@@ -702,3 +731,182 @@ def test_product_kernel_is_product_of_rank1_kernels():
 def test_kernel_phi_hat_rejects_bad_points(make_pair, x):
     with pytest.raises(ValueError):
         kernel_phi_hat(make_pair(), x)
+
+
+def remainder_spec(name, a4_pair, kernel, rng):
+    """(spec, tol) of one remainder case: tau and tol keep the ellipsoid of
+    4T small enough to sum, b and c_ell are drawn from rng."""
+    pairs = {"hyp": (hyp_pair(), (0, 0)), "d12": (d12_pair(), (1, 0)),
+             "product": (product_pair(), (1, 0, 1, 0)), "a2": (a2_pair(), (0,) * 4),
+             "a4": (a4_pair, (0,) * 8)}
+    pair, p = pairs[name]
+    if kernel == "holomorphic":
+        tau, tol = (2j, 1e-2) if name == "a4" else (0.3 + 0.8j, 1e-8)
+    else:
+        tau, tol = {"a4": (0.3 + 128j, 1e-4), "a2": (0.3 + 2j, 1e-2),
+                    "product": (0.3 + 2j, 1e-2)}.get(name, (0.3 + 0.8j, 1e-8))
+    n = pair.n
+    return ThetaSpec(form=pair.form, mu=(0,) * n, p=p, b=rng.uniform(-0.5, 0.5, n),
+                     c_ell=rng.uniform(-0.5, 0.5, n), tau=tau, kernel=kernel, pair=pair), tol
+
+
+def term_magnitudes(spec, m):
+    """|term| at each row of m. The completed product pair's kernel is the
+    product of two rank-1 kernels and Q splits as Q_1 + Q_2, so its terms
+    are products of cancellation-free rank-1 terms; every other case takes
+    the library's terms."""
+    rt = _pair_runtime(spec.pair)
+    if spec.kernel == "holomorphic" or spec.pair.r == 1 or spec.form != PRODUCT:
+        return np.abs(theta._terms(spec, m, rt)[0])
+    rt1 = _pair_runtime(d12_pair())
+    Y = m + spec.offset_float + spec.b
+    out = np.ones(len(m))
+    for half in (slice(0, 2), slice(2, 4)):
+        y = Y[:, half]
+        phi = theta._phi_hat_r1(rt1, math.sqrt(2.0 * spec.tau.imag) * y)
+        q = np.einsum("ki,ij,kj->k", y, D12.matrix(), y)
+        with np.errstate(divide="ignore"):
+            out *= np.exp(np.log(np.abs(phi)) + math.pi * spec.tau.imag * q)
+    return out
+
+
+# the rank >= 2 completed kernel is the cancelling 2^r-term sum of E values
+# (ROADMAP items 1 and 2): off the support its rounding, times
+# e^{pi tau_2 Q(y)}, gives |terms| far above the bound
+KERNEL_FAULT = pytest.mark.xfail(strict=True, reason="rank >= 2 completed kernel cancels")
+
+
+@pytest.mark.parametrize("name, kernel", [
+    ("hyp", "holomorphic"), ("d12", "holomorphic"), ("product", "holomorphic"),
+    ("a2", "holomorphic"), ("a4", "holomorphic"), ("hyp", "completed"),
+    ("d12", "completed"), ("product", "completed"),
+    pytest.param("a2", "completed", marks=KERNEL_FAULT),
+    pytest.param("a4", "completed", marks=KERNEL_FAULT)])
+def test_remainder_beyond_region_within_tail_estimate(a4_pair, name, kernel):
+    # enumerate to 4T: the |terms| found beyond T sum to at most the
+    # claimed tail_estimate, which sits at tol
+    spec, tol = remainder_spec(name, a4_pair, kernel, np.random.default_rng(41))
+    got = eval_theta(spec, TruncationPolicy(tol=tol))
+    rt = _pair_runtime(spec.pair)
+    gamma, K = (1.0, 1.0) if kernel == "holomorphic" else (rt.gamma_hat, rt.K_hat)
+    a = math.pi * spec.tau.imag * gamma
+    T = theta._region(theta._log_majorants(rt, a), a, tol, K)
+    assert tol * 0.999 < got.tail_estimate <= tol
+    t = spec.offset_float + spec.b
+    m = _enumerate_shifts(rt.chol_u, t, 2.0 * math.sqrt(T), 10 ** 7)
+    S = np.einsum("ki,ij,kj->k", m + t, rt.metric, m + t)
+    beyond = S > T * (1.0 + 1e-9)
+    assert np.count_nonzero(~beyond) == got.n_points
+    assert np.count_nonzero(beyond) >= 2 * got.n_points
+    assert float(term_magnitudes(spec, m[beyond]).sum()) <= got.tail_estimate
+
+
+def test_a4_value_and_q_expansion_finish(a4_pair):
+    spec = ThetaSpec(form=a4_pair.form, mu=(0,) * 8, p=(0,) * 8, b=np.zeros(8),
+                     c_ell=np.zeros(8), tau=2j, kernel="holomorphic", pair=a4_pair)
+    v = eval_theta(spec, TruncationPolicy(tol=1e-8, max_points=1_000_000))
+    assert v.n_points <= 1_000_000 and v.tail_estimate <= 1e-8
+    qe = q_expansion(spec, 10)
+    assert [t.exponent for t in qe.terms] == [Fraction(e) for e in range(1, 11)]
+    assert all(t.coefficient == 0 for t in qe.terms)
+    assert qe.radius == math.sqrt(20)
+    # so the value at tau = 2i is below |q|^11 = e^{-44 pi} beside its tail
+    assert abs(v.value) <= v.tail_estimate
+
+
+def test_points_per_tol_product_low_tau():
+    # the product pair at Im tau = 0.6, tol 1e-8: 465 points in the -Q_-
+    # ellipsoid of the closed-form T
+    spec = ThetaSpec(form=PRODUCT, mu=(0,) * 4, p=(1, 0, 1, 0),
+                     b=np.array([0.1, 0.2, -0.15, 0.05]), c_ell=np.array([0.05, -0.1, 0.2, 0.1]),
+                     tau=0.1 + 0.6j, kernel="holomorphic", pair=product_pair())
+    v = eval_theta(spec, TruncationPolicy(tol=1e-8))
+    assert v.n_points <= 1000
+    assert v.tail_estimate <= 1e-8
+
+
+# (form, c, c', mu, p) of the three rank-1 pairs, and one (tau, b, c_ell)
+# per pair where the difference of two erfs lost 4e-10 to 1.1e-9
+RANK1_PAIRS = (([[1, 0], [0, -2]], (1, 0), (2, 1), (0, 0), (1, 0)),
+               ([[2, 0], [0, -2]], (1, 0), (3, 1), (Fraction(1, 2), 0), (0, 0)),
+               ([[1, 0], [0, -1]], (1, 0), (2, 1), (0, 0), (1, 1)))
+CANCELLING_INPUTS = ((complex(-0.215, 1.936), (0.157, -0.135), (0.017, 0.275)),
+                     (complex(-0.049, 1.761), (0.23, 0.019), (-0.317, -0.262)),
+                     (complex(-0.368, 1.12), (-0.069, 0.453), (0.184, 0.211)))
+
+
+def log_space_completed_sum(rows, c, cp, mu, p, tau, b, c_ell, half_width=40):
+    """(value, sum of |terms|) of the rank-1 completed series over a box, each
+    kernel 1/2 (erf u - erf v) taken in log space: where u and v share a sign
+    it is 1/2 (erfc |v| - erfc |u|) (mirrored), with log erfc from
+    scipy's log_ndtr and the difference from log1p, so nothing cancels
+    before the q-power multiplies it."""
+    from scipy.special import erf, log_ndtr
+    A = np.array(rows, dtype=float)
+    ax = np.arange(-half_width, half_width + 1, dtype=float)
+    K = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    K = K + np.array([float(mu[i]) + p[i] / 2.0 for i in range(2)])
+    Y = K + np.asarray(b)
+    X = math.sqrt(2.0 * tau.imag) * Y
+    c, cp = np.array(c, dtype=float), np.array(cp, dtype=float)
+    u = math.sqrt(math.pi) * (X @ (A @ c)) / math.sqrt(c @ A @ c)
+    v = math.sqrt(math.pi) * (X @ (A @ cp)) / math.sqrt(cp @ A @ cp)
+    same = u * v > 0
+    lu = math.log(2.0) + log_ndtr(-math.sqrt(2.0) * np.abs(u))  # log erfc |u|
+    lv = math.log(2.0) + log_ndtr(-math.sqrt(2.0) * np.abs(v))
+    hi, lo = np.maximum(lu, lv), np.minimum(lu, lv)
+    with np.errstate(divide="ignore"):
+        log_same = hi + np.log1p(-np.exp(lo - hi))
+        diff = 0.5 * (erf(u) - erf(v))
+        logphi = np.where(same, log_same - math.log(2.0), np.log(np.abs(diff)))
+    sgn = np.where(same, np.sign(u) * np.sign(lv - lu), np.sign(diff))
+    q = np.einsum("ki,ij,kj->k", Y, A, Y)
+    keep = sgn != 0
+    z = (1j * math.pi * (K[keep] @ (A @ np.array(p, dtype=float)))
+         - 1j * math.pi * tau * q[keep]
+         + 2j * math.pi * ((K[keep] + np.asarray(b) / 2.0) @ (A @ np.asarray(c_ell)))
+         + logphi[keep])
+    terms = sgn[keep] * np.exp(z)
+    return complex(terms.sum()), float(np.abs(terms).sum())
+
+
+def test_rank1_completed_values_do_not_cancel():
+    rng = np.random.default_rng(2027)
+    cases = [(j, tau, b, c) for j, (tau, b, c) in enumerate(CANCELLING_INPUTS)]
+    for j in range(30):
+        cases.append((j % 3, complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0)),
+                      tuple(rng.uniform(-0.5, 0.5, 2)), tuple(rng.uniform(-0.5, 0.5, 2))))
+    for j, tau, b, c_ell in cases:
+        rows, c, cp, mu, p = RANK1_PAIRS[j]
+        form = BilinearForm.from_rows(rows)
+        pair = ConePair.from_matrices([[c[0]], [c[1]]], [[cp[0]], [cp[1]]], form)
+        spec = ThetaSpec(form=form, mu=mu, p=p, b=np.array(b), c_ell=np.array(c_ell),
+                         tau=tau, kernel="completed", pair=pair)
+        got = eval_theta(spec, TruncationPolicy(tol=1e-20))
+        want, mags = log_space_completed_sum(rows, c, cp, mu, p, tau, b, c_ell)
+        assert abs(got.value - want) <= got.tail_estimate + 2e-14 * mags, (j, tau, b, c_ell)
+
+
+def test_theta3_majorant_bounds_every_shifted_gaussian_sum(a4_pair):
+    # log F_s against sum_k e^{-beta k^2} summed directly, one u_ii at a
+    # time, and F_s above the Gaussian sum over y in Z^n + t it bounds
+    one_row = SimpleNamespace(u2=np.array([1.0]))
+    k = np.arange(-4000, 4001, dtype=float)
+    for beta in (1e-3, 0.05, 1.0, math.pi, 3.2, 40.0):
+        got = theta._log_majorants(one_row, beta / (1.0 - theta._S_GRID[0]))[0]
+        assert got == pytest.approx(math.log(np.exp(-beta * k * k).sum()), rel=1e-12, abs=1e-14)
+    # every s of the grid in two dimensions, s <= 1/2 in four, where the
+    # ellipsoid (1 - s) a S[y] <= 40 stays small; the terms left out of
+    # each sum are below e^-40 relative
+    rng = np.random.default_rng(11)
+    for pair, least in ((d12_pair(), 0.05), (hyp_pair(), 0.05), (product_pair(), 0.5),
+                        (a2_pair(), 0.5)):
+        rt = _pair_runtime(pair)
+        cols = 1.0 - theta._S_GRID >= least
+        for a in (0.2, 1.0, 5.0) if pair.n == 2 else (1.0, 5.0):
+            log_f = theta._log_majorants(rt, a)[cols]
+            for t in (np.zeros(pair.n), rng.uniform(-0.5, 0.5, pair.n)):
+                m = _enumerate_shifts(rt.chol_u, t, math.sqrt(40.0 / (least * a)), 10 ** 7)
+                S = np.einsum("ki,ij,kj->k", m + t, rt.metric, m + t)
+                sums = np.exp(-np.outer(1.0 - theta._S_GRID[cols], a * S)).sum(axis=1)
+                assert np.all(np.log(sums) <= log_f + 1e-12), (pair.form, a, t)

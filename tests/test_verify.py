@@ -95,10 +95,11 @@ def test_fast_suite_passes_and_is_deterministic():
            [(r.name, r.residual, r.inputs_digest) for r in second]
 
 
-def test_theta_enum_box_finds_the_3x3_box():
-    # the hyperbolic pair's majorant is the identity, so the ball of radius
-    # 1.5 holds exactly the nine points of {-1, 0, 1}^2
-    assert verify._check_theta_enum_box(None, False) == (0.0, 0.0, "9 points")
+def test_theta_enum_box_matches_the_filtered_box():
+    # -Q_- = [[6, 8], [8, 12]] on the hyperbolic pair: the ellipsoid of
+    # radius 3 holds the origin and +-(1,-1), +-(2,-1), +-(1,0), +-(3,-2),
+    # +-(2,-2), the eleven points of the box with S[m] <= 9
+    assert verify._check_theta_enum_box(None, False) == (0.0, 0.0, "11 points")
 
 
 def test_suite_rejects_unknown_level():
