@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfcx, ndtr, owens_t
@@ -134,18 +133,14 @@ def _frozen_rule(rule):
     return cached
 
 
-_leggauss = _frozen_rule(np.polynomial.legendre.leggauss)
+def _shifted_leggauss(n: int):
+    """Gauss-Legendre nodes x + 1 on [0, 2] and their weights."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x + 1.0, w
+
+
+_leggauss = _frozen_rule(_shifted_leggauss)
 _hermgauss = _frozen_rule(np.polynomial.hermite.hermgauss)
-
-
-def _smax_bound(d: float, b: float, cut: float) -> float:
-    """Box bound along one axis: beyond it the integrand is below e^-cut.
-
-    Along axis j the exponent is at least b_j s + s^2 / (4 pi d_j), with
-    d = diag(G^-1), minimized over the other coordinates.
-    """
-    q = 1.0 / (4.0 * math.pi * max(d, 1e-300))
-    return (-b + math.sqrt(b * b + 4.0 * q * cut)) / (2.0 * q)
 
 
 def _log_erfcx(x: np.ndarray) -> np.ndarray:
@@ -168,44 +163,79 @@ def _tensor_grid(nodes: list[np.ndarray], weights: list[np.ndarray]):
     return np.array([g.reshape(-1) for g in grids]).reshape(len(nodes), wt.size), wt.reshape(-1)
 
 
-def _orthant_J(G: np.ndarray, b: np.ndarray, d: np.ndarray, n: int) -> tuple[float, float]:
-    """J with n and with max(n // 2, 8) Gauss-Legendre nodes per axis; d = diag(G^-1).
+_J_CELLS = 1 << 18  # rows of _orthant_J go in pieces of m rows with m n^(s-1) <= this, m >= 1
 
-    The axis k with the strongest linear decay is integrated in closed form,
-    int_0^inf e^{-beta s - gamma s^2/(4 pi)} ds = (pi / sqrt(gamma)) erfcx(x)
-    with x = beta sqrt(pi/gamma), the others on the box outside which the
-    integrand is below e^-(_CUT + 2). beta goes negative where off-diagonal
-    couplings are negative, so the e^{x^2} growth of erfcx is kept in log
-    space and cancelled against the outer Gaussian before exponentiating.
-    The exponent and x are outer sums of 1-D node vectors S[i], each along
-    its own axis (x only over the axes coupled to k), and the integrand is
-    contracted with the 1-D weights axis by axis: no tensor grid.
+
+def _orthant_J(WtW: np.ndarray, eps: np.ndarray, b: np.ndarray, d: np.ndarray,
+               rules: tuple) -> np.ndarray:
+    """J at each row of b = |a| (N x s), with signs eps (N x s), dual Grams
+    WtW (N x s x s) and d = diag(G^-1) (N x s), G = diag(eps) WtW diag(eps):
+    an array (len(rules), N), one line per Gauss-Legendre node count.
+
+    Per row, the axis k of strongest linear decay is integrated in closed
+    form, int_0^inf e^{-beta s - gamma s^2/(4 pi)} ds = (pi / sqrt(gamma))
+    erfcx(x), x = beta sqrt(pi/gamma) (all of J at s = 1), the others on
+    the box outside which the integrand is below e^-(_CUT + 2). erfcx's
+    e^{x^2} growth, where negative couplings take beta below 0, stays in log
+    space against the outer Gaussian. The exponent and x are outer sums of
+    1-D node vectors, contracted with the weights axis by axis. A row's few
+    scalars are Python floats, its node arrays are built with all rows at
+    once, and no row's value depends on the other rows.
     """
-    k = int(b.argmax())
-    gamma, root = G[k, k], math.sqrt(np.pi / G[k, k])
-    if len(b) == 1:
-        v = float(np.pi / math.sqrt(gamma) * erfcx(b[k] * root))
-        return v, v
-    idx = [j for j in range(len(b)) if j != k]
-    G, b, d = G.tolist(), b.tolist(), d.tolist()  # per-axis scalars: floats cost less
-    half = [0.5 * _smax_bound(d[j], b[j], _CUT + 2.0) for j in idx]  # half the box per axis
-    values = []
-    for nodes in (n, max(n // 2, 8)):
-        x, w = _leggauss(nodes)
-        S = [((x + 1.0) * h).reshape((-1,) + (1,) * (len(idx) - 1 - i)) for i, h in enumerate(half)]
-        L, xx = math.log(np.pi / math.sqrt(gamma)), np.array(b[k] * root, ndmin=len(idx))
-        for i, j in enumerate(idx):
-            L = L - S[i] * (b[j] + G[j][j] * (0.25 / np.pi) * S[i])
-            for m in range(i):
-                L -= (G[idx[m]][j] * (0.5 / np.pi) * S[m]) * S[i]
-            if G[j][k] != 0.0:
-                xx = xx + G[j][k] * (0.5 / np.pi) * root * S[i]
+    N, s = b.shape
+    if s == 1:  # eps^2 = 1: G = WtW
+        gamma = WtW[:, 0, 0]
+        v = np.pi / np.sqrt(gamma) * erfcx(b[:, 0] * np.sqrt(np.pi / gamma))
+        return v[None].repeat(len(rules), axis=0)
+    c, step = s - 1, max(1, _J_CELLS // max(rules) ** (s - 1))
+    if N > step:
+        return np.concatenate([_orthant_J(WtW[sl], eps[sl], b[sl], d[sl], rules)
+                               for sl in (slice(a, a + step) for a in range(0, N, step))], axis=1)
+    # per row: log(pi / sqrt(gamma)), beta_k root (root = sqrt(pi / gamma)), then per other axis j
+    # its half box, b_j, G_jj / 4 pi, G_jk root / 2 pi, G_qj / 2 pi for earlier q (G = eps WtW eps)
+    scalars, coupled = [], [False] * c
+    others = [[j for j in range(s) if j != k] for k in range(s)]
+    for W, e, bb, dd in zip(WtW.tolist(), eps.tolist(), b.tolist(), d.tolist()):
+        k = bb.index(max(bb))
+        root = math.sqrt(np.pi / W[k][k])
+        row = [math.log(np.pi / math.sqrt(W[k][k])), bb[k] * root]
+        for i, j in enumerate(others[k]):
+            cpl = e[j] * W[j][k] * e[k] * (0.5 / np.pi) * root
+            if cpl != 0.0:
+                coupled[i] = True
+            qd = 1.0 / (4.0 * math.pi * max(dd[j], 1e-300))  # box: exponent >= b s + qd s^2
+            half = (-bb[j] + math.sqrt(bb[j] * bb[j] + 4.0 * qd * (_CUT + 2.0))) / (2.0 * qd)
+            row += (0.5 * half, bb[j], W[j][j] * (0.25 / np.pi), cpl)
+            if i:
+                row += [e[q] * W[q][j] * e[j] * (0.5 / np.pi) for q in others[k][:i]]
+        scalars.append(row)
+    base = [2 + 4 * i + i * (i - 1) // 2 for i in range(s)]  # axis i starts at col[base[i]]
+    # one row keeps Python floats, which numpy broadcasts at less cost
+    col = scalars[0] if N == 1 else list(
+        np.array(scalars).reshape((N, base[c]) + (1,) * c).swapaxes(0, 1))
+    out, line = np.empty((len(rules), N)), 0
+    # at s = 2 the rules share the one node axis and run as one pass side by side
+    for group in [rules] if c == 1 else [(nodes,) for nodes in rules]:
+        x1 = np.concatenate([_leggauss(n)[0] for n in group])
+        S = [(x1 * col[base[i]]).reshape((N,) + (1,) * i + (len(x1),) + (1,) * (c - 1 - i))
+             for i in range(c)]
+        L, xx = col[0], np.array(col[1], ndmin=s)
+        for i in range(c):
+            L = L - S[i] * (col[base[i] + 1] + col[base[i] + 2] * S[i])
+            for q in range(i):
+                L -= (col[base[i] + 4 + q] * S[q]) * S[i]
+            if coupled[i]:
+                xx = xx + col[base[i] + 3] * S[i]
         L += _log_erfcx(xx)
-        F = np.exp(L, out=L)
-        for h in reversed(half):
-            F = F @ (w * h)
-        values.append(float(F))
-    return values[0], values[1]
+        F, start = np.exp(L, out=L), 0
+        for n in group:
+            Fn, w = F[..., start:start + n], _leggauss(n)[1]
+            for i in reversed(range(c)):  # a BLAS dot or matrix-vector product per row
+                wi = (w * col[base[i]]).reshape(N, n)
+                Fn = np.vecdot(Fn, wi) if Fn.ndim == 2 else np.matmul(
+                    Fn, wi.reshape((N,) + (1,) * (Fn.ndim - 3) + (n, 1)))[..., 0]
+            out[line], line, start = Fn, line + 1, start + n
+    return out
 
 
 def _check_rank(r: int, quad: QuadratureSpec):
@@ -216,8 +246,8 @@ def _check_rank(r: int, quad: QuadratureSpec):
 
 def _check_walls(a: np.ndarray, wall_eps: float):
     dist = np.abs(a)
-    j = int(dist.argmin()) if len(dist) else 0
-    if len(dist) and dist[j] <= wall_eps:
+    if len(dist) and dist.min() <= wall_eps:
+        j = int(dist.argmin())
         raise WallTooClose(
             f"wall coordinate w_{j} . u = {a[j]:.3e} is within {wall_eps:.3e} of zero",
             j=j,
@@ -226,13 +256,15 @@ def _check_walls(a: np.ndarray, wall_eps: float):
 
 
 def eval_M(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValue:
-    """M_r at a point off every wall, through the orthant integral J.
+    """M_r at a point off every wall, through the orthant integral J: the
+    one-row caller of _orthant_J.
 
     Raises WallTooClose when min_j |w_j . u| <= wall_eps and RankTooLarge
     past the direct cap. The orthant path is purely real, so imag_residual
-    is 0. est_error is the gap to the rule at half the node count plus a
-    rounding term relative to |M_r|: 1e-15, and 4 eps pi u.u for the
-    prefactor e^{-pi u.u}, whose exponent is rounded to about eps pi u.u.
+    is 0. est_error is the gap to the rule at half the node count plus, as
+    a share of |M_r|, 1e-15, 4 eps pi u.u for the rounded exponent of
+    e^{-pi u.u} and at r >= 2 16 n eps, n = nodes_per_axis: the rule loses
+    accuracy as n grows (up to 10 n eps at n = 2048 and 4096).
     """
     r = arg.frame.r
     _check_rank(r, quad)
@@ -240,16 +272,15 @@ def eval_M(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValu
         return ErrFnValue(1.0, 0.0, 0.0)
     a = wall_distances(arg)
     _check_walls(a, arg.wall_eps)
-    eps = np.sign(a)
-    w_mat, m_mat = arg.frame.w_mat, arg.frame.m_mat
-    G = eps[:, None] * (w_mat.T @ w_mat) * eps
+    eps, n = np.sign(a), quad.nodes_per_axis
+    WtW, d, det, *_ = arg.frame.orthant_data  # d = diag(G^-1) = diag(M^T M)
     gauss = np.pi * float(arg.u @ arg.u)
-    pref = ((-1.0) ** r * np.pi ** (-r) * float(np.multiply.reduce(eps))
-            / abs(float(np.linalg.det(m_mat))) * math.exp(-gauss))
-    d = np.add.reduce(m_mat * m_mat, axis=0)  # diag(G^-1) = diag(M^T M)
-    v1, v2 = _orthant_J(G, np.abs(a), d, quad.nodes_per_axis)
+    pref = (-1.0) ** r * np.pi ** (-r) * float(np.multiply.reduce(eps)) / det * math.exp(-gauss)
+    v1, v2 = _orthant_J(WtW[None], eps[None], np.abs(a)[None], d[None],
+                        (n, max(n // 2, 8)))[:, 0].tolist()
     value = pref * v1
-    est = abs(pref) * abs(v1 - v2) + abs(value) * (1e-15 + 4.0 * _EPS * gauss)
+    rounding = 1e-15 + 4.0 * _EPS * gauss + (16.0 * n * _EPS if r > 1 else 0.0)
+    est = abs(pref) * abs(v1 - v2) + abs(value) * rounding
     return ErrFnValue(value, 0.0, est, "orthant rule" if r > 1 else "closed form")
 
 
@@ -296,30 +327,30 @@ def _subsets(r: int):
 
 def _bvn_lower(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """P(X < h, Y < k) for standard normals of correlation rho, elementwise
-    on arrays of one shape (Owen 1956), exact where h or k is 0. The zero
+    on arrays that broadcast (Owen 1956), exact where h or k is 0. The zero
     cases are patched in only where some argument is 0."""
     s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    zero = not (h.all() and k.all())
 
     def arm(h, k):  # T(h, (k - rho h) / (h s)), with its h -> 0+ limit at h = 0
-        on = h == 0.0
-        if not on.any():
+        if not zero:
             return owens_t(h, (k - rho * h) / (h * s))
+        on = h == 0.0
         return np.where(on, 0.25 * np.sign(k), owens_t(h, (k - rho * h) / np.where(on, 1.0, h * s)))
 
     beta = 0.5 * ((h < 0.0) != (k < 0.0))  # Owen's 1/2 where h k < 0, or h k = 0 > h + k
     p = 0.5 * (ndtr(h) + ndtr(k)) - arm(h, k) - arm(k, h) - beta
-    both = (h == 0.0) & (k == 0.0)
-    if not both.any():
+    if not zero:
         return p
-    return np.where(both, 0.25 + np.arcsin(rho) / (2.0 * np.pi), p)
+    return np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(rho) / (2.0 * np.pi), p)
 
 
 def _gl_normal(upper, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n Gauss-Legendre nodes on [-_E_CUT, upper] for each entry of upper (a
     row each), with the standard normal density folded into the weights."""
-    x, w = _leggauss(n)
+    x1, w = _leggauss(n)
     half = 0.5 * (np.clip(upper, -_E_CUT, _E_CUT) + _E_CUT)[..., None]
-    z = half * (x + 1.0) - _E_CUT
+    z = half * x1 - _E_CUT
     return z, half * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * np.pi)
 
 
@@ -373,82 +404,41 @@ def _pair_index(r: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-class OrthantPlan(NamedTuple):
-    """The part of E_r that depends on the frame only, through the
-    correlation R of z, for F frames of one rank r whose coordinates h sit
-    side by side in a row of F r entries: the pairs i < j of each frame as
-    indices (i, j) into that row with their correlations rho, and for each
-    frame a tuple with, for each subset T of three or more coordinates, its
-    conditioning order (as indices into the row), Cholesky factor and
-    coefficient (-2)^|T|."""
-
-    r: int
-    i: np.ndarray
-    j: np.ndarray
-    rho: np.ndarray
-    orthants: tuple
-
-    def bivariate_count(self, nodes: int) -> int:
-        """Bivariate orthant probabilities that eval_E_rows evaluates per
-        point with one rule of nodes Gauss-Legendre nodes."""
-        return self.rho.size + sum(nodes ** (len(idx) - 2)
-                                   for frame in self.orthants for idx, _, _ in frame)
+def orthant_plan(R: np.ndarray) -> tuple:
+    """What E_r takes from the correlation R of z: the pairs i < j (index
+    arrays i, j), their correlations rho, and per subset T of three or more
+    coordinates its conditioning order, Cholesky factor and (-2)^|T|."""
+    i, j = _pair_index(len(R))
+    orthants = []
+    for T in (T for size in range(3, len(R) + 1) for T in combinations(range(len(R)), size)):
+        order, L = _conditioned_cholesky(R[np.ix_(T, T)])
+        orthants.append((np.array(T)[order], L, (-2.0) ** len(T)))
+    return i, j, R[i, j], orthants
 
 
-def orthant_plan(R: np.ndarray) -> OrthantPlan:
-    """The OrthantPlan of a stack R (F x r x r) of correlation matrices;
-    raises RankTooLarge past MAX_RANK."""
-    F, r = len(R), R.shape[2]
-    if r > MAX_RANK:
-        raise RankTooLarge(f"rank {r} exceeds direct evaluation cap {MAX_RANK}")
-    i, j = _pair_index(r)
-    rho = R[:, i, j].ravel()
-    orthants = tuple(tuple(_frame_orthants(R[f], f * r)) for f in range(F)) if r > 2 else ((),) * F
-    if F > 1:
-        i, j = ((r * np.arange(F)[:, None] + k).ravel() for k in (i, j))
-    return OrthantPlan(r, i, j, rho, orthants)
-
-
-def _frame_orthants(R: np.ndarray, offset: int):
-    """(order + offset, L, (-2)^|T|) for each subset T of three or more
-    coordinates of the correlation matrix R."""
-    for size in range(3, len(R) + 1):
-        for T in combinations(range(len(R)), size):
-            order, L = _conditioned_cholesky(R[np.ix_(T, T)])
-            yield offset + np.array(T)[order], L, (-2.0) ** size
-
-
-def eval_E_rows(plan: OrthantPlan, H: np.ndarray,
+def eval_E_rows(plan: tuple, H: np.ndarray,
                 rules: tuple = (DEFAULT_QUAD.nodes_per_axis,)) -> np.ndarray:
     """E_r = 1 - 2 sum_j ndtr(h_j) + 4 sum_{i<j} P2(h_i, h_j; rho_ij)
-    + sum_{|T|>=3} (-2)^|T| P(z_T < 0), where P(z_j < 0) = ndtr(h_j), for
-    every frame f of the plan at each of the N >= 1 rows of H (N x F r, the
-    h of frame f in columns f r to f r + r - 1), once per Gauss-Legendre
-    node count in rules: an array of shape (len(rules), N, F).
+    + sum_{|T|>=3} (-2)^|T| P(z_T < 0), where P(z_j < 0) = ndtr(h_j), at
+    each of the N >= 1 rows h of H (N x r), once per Gauss-Legendre node
+    count in rules: an array of shape (len(rules), N).
 
     Every row goes through the same operations whatever the other rows, so
-    its values do not depend on them. All N * plan.bivariate_count(nodes)
-    bivariate orthant probabilities of a rule are evaluated at once: a
-    caller with many points passes them in pieces. The orthant rows of
-    three and four coordinates are built point by point.
+    its values do not depend on them. The orthant rows of three and four
+    coordinates are built point by point.
     """
-    F, n = len(plan.orthants), len(H)
-    p2 = _bvn_lower(H[:, plan.i].ravel(), H[:, plan.j].ravel(),
-                    plan.rho[None].repeat(n, axis=0).ravel())
-    base = (1.0 - 2.0 * np.add.reduce(ndtr(H).reshape(n, F, -1), axis=2)
-            + 4.0 * np.add.reduce(p2.reshape(n, F, -1), axis=2))
+    (i, j, rho, orthants), n = plan, len(H)
+    base = (1.0 - 2.0 * np.add.reduce(ndtr(H), axis=1)
+            + 4.0 * np.add.reduce(_bvn_lower(H[:, i], H[:, j], rho), axis=1))
     sums = base[None].repeat(len(rules), axis=0)
-    if plan.r < 3:
+    if not orthants:
         return sums
-    rows = [(rule, k, f, coeff, _orthant_rows(H[k, idx], L, nodes))
-            for k in range(n)
-            for f, frame in enumerate(plan.orthants)
-            for idx, L, coeff in frame
-            for rule, nodes in enumerate(rules)]
+    rows = [(rule, k, coeff, _orthant_rows(H[k, idx], L, nodes))
+            for k in range(n) for idx, L, coeff in orthants for rule, nodes in enumerate(rules)]
     p = _bvn_lower(*(np.concatenate([row[c] for *_, row in rows]) for c in range(3)))
     at = 0
-    for rule, k, f, coeff, row in rows:
-        sums[rule, k, f] += coeff * float(row[3] @ p[at:at + row[3].size])
+    for rule, k, coeff, row in rows:
+        sums[rule, k] += coeff * float(row[3] @ p[at:at + row[3].size])
         at += row[3].size
     return sums
 
@@ -467,10 +457,10 @@ def eval_E(arg: ErrFnArgument, quad: QuadratureSpec = DEFAULT_QUAD) -> ErrFnValu
     if r == 0:
         return ErrFnValue(1.0, 0.0, 0.0)
     m_mat, n = arg.frame.m_mat, quad.nodes_per_axis
-    norms = np.sqrt(np.add.reduce(m_mat * m_mat, axis=0))
+    *_, norms, R = arg.frame.orthant_data
     h = -math.sqrt(2.0 * np.pi) * (m_mat.T @ arg.u) / norms  # P(z_j < 0) = ndtr(h_j)
-    plan = orthant_plan(((m_mat.T @ m_mat) / (norms[:, None] * norms))[None])
-    full, half = eval_E_rows(plan, h[None], (n, max(n // 2, 8)))[:, 0, 0].tolist()
+    plan = orthant_plan(R)
+    full, half = eval_E_rows(plan, h[None], (n, max(n // 2, 8)))[:, 0].tolist()
     return ErrFnValue(full, 0.0, abs(full - half) + 3.0 ** r * 4e-15,
                       "orthant rule" if r > 2 else "closed form")
 

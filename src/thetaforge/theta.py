@@ -13,7 +13,19 @@ Kernels: the holomorphic sign-cone restriction
     phi_hat_r(x) = 2^{-r} sum_{P subseteq [r]} (-1)^{|P|} E^A(C^P; x),
 
 where C^P takes c'_j on P and c_j off P, so that phi_hat -> phi as all
-|B(., x)| grow. Every tail bound rests on the exact cone certificate: on
+|B(., x)| grow. Expanding each E^A into M terms (errfn.decompose_E_into_M)
+regroups the sum into one term per (S, P) sector of the certificate:
+
+    phi_hat_r(x) = 2^{-r} sum_{P subseteq S subseteq [r]} (-1)^{|P|}
+        M^A(C^P_S; x) prod_{j not in S} [sign B(c_j^perp, x) - sign B(c'_j^perp, x)],
+
+perp the A-projection off span(C^P_S); S = () gives 2^r phi_r. M terms
+keep their relative precision, so nothing cancels off the support. Wall
+rule: a sign argument or dual wall coordinate l with |l(x)| <= 1e-12 |l|
+|x| takes the sign of l(v), v one fixed direction per pair: the one-sided
+limit along v, which the continuous phi_hat equals.
+
+Every tail bound rests on the exact cone certificate: on
 the support of phi_r, Q <= Q_- with S = -Q_- positive definite, so a term
 is at most K e^{-a S[k+b]}: K = 1 and a = pi tau_2 for phi_r, K = K_hat and
 a = pi tau_2 gamma' from the (S, P) sectors of the certificate for phi_hat
@@ -43,16 +55,15 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh as generalized_eigh
-from scipy.special import erf, erfc
 
 from . import rational as ra
-from .boosted import build_cone
 from .cones import ConePair, ConeSystemReport, check_cone_pair
-from .errfn import DEFAULT_QUAD, eval_E_rows, orthant_plan
+from .errfn import DEFAULT_QUAD, _orthant_J
 from .exceptions import BudgetExceeded, ValidationError
-from .quadform import BilinearForm, ErrorFunctionFrame
+from .quadform import BilinearForm
 
 WALL_HIT_CAP = 1000
+_FORMS = 1 << 16  # most sector forms (points x 3r 3^r) that one _phi_hat pass holds
 
 
 @dataclass(frozen=True)
@@ -205,11 +216,10 @@ def kernel_phi(pair: ConePair, x) -> float:
 
 class _PairRuntime:
     """Float-side data derived from an exact cone certificate, cached per
-    pair: the metric S = -Q_- and its Cholesky factor chol_u (U^T U = S),
-    the completed kernel's sector rate gamma_hat and prefactor K_hat and,
-    built on the first completed kernel call at r != 1, the completion data
-    of the 2^r cones C^P (completion()). It holds no reference to the pair,
-    so the weak cache entry and all of this data die with the pair."""
+    pair: the metric S = -Q_- and its Cholesky factor chol_u (U^T U = S)
+    and, built on the first completed call, the completed kernel's sector
+    table (sectors()). It holds no reference to the pair, so the weak cache
+    entry and all of this data die with the pair."""
 
     def __init__(self, pair: ConePair, report: ConeSystemReport):
         self.form = pair.form
@@ -232,8 +242,7 @@ class _PairRuntime:
         self.u2 = np.diag(self.chol_u) ** 2
         self.covol = float(np.prod(np.diag(self.chol_u)))
         self.cell_d = 0.5 * math.sqrt(float(np.sum(self.u2)))
-        self.gamma_hat, self.K_hat = self._completed_sectors()
-        self._completion = None
+        self._sectors = None
 
     def _min_gen_eig(self, G: np.ndarray) -> float:
         """lambda_min(G, S): the largest g with G[y] >= g S[y] for every y."""
@@ -244,61 +253,59 @@ class _PairRuntime:
                 f"tail decay rate is not positive ({g:.3e}); certificate inconsistent")
         return g
 
-    def _completed_sectors(self):
-        gammas = []
-        K = 0.0
-        A = self.A
-        eye = np.eye(self.n)
-        items = [((), (), self.report)]
-        for (S, P), rep in self.report.recursion_reports.items():
-            items.append((S, P, rep))
-        for S, P, rep in items:
-            K += 2.0 ** (-len(S)) * math.factorial(len(S))
+    def sectors(self) -> tuple:
+        """(gamma_hat, K_hat, maps, wall, side, scale, ranks), from one pass
+        over the (S, P) systems by s = |S|; built once. With C_S = C^P_S, Pr
+        the A-projection onto its span and G_S = C_S^T A C_S = L L^T: sector
+        terms are at most 2^-s s! e^{-pi tau_2 G[y]}, G = Pr^T A Pr - (I -
+        Pr)^T Q_-^{S,P} (I - Pr), so gamma_hat = min lambda_min(G, S) and K_hat
+        = sum 2^-s s!. maps has 3r columns per sector: a = G_S^-1 C_S^T A x
+        and A(I - Pr) c_j for j not in S; -a and A(I - Pr) c'_j, so the first
+        r signs less the next r multiply to D = 2^s prod sign(a) times the
+        complement weight; sqrt(pi) u with u = L^-1 C_S^T A x, and zeros.
+        wall = (1e-12 |column|)^2, side = the signs at v, scale = 2^-r
+        (-1)^(|P|+s) (2 pi)^-s / |det L|, and ranks holds per s >= 1 the
+        sectors' W^T W = G_S^-1 and diag(M^T M) = diag(G_S), M = L^T the
+        frame of M^A(C_S; x) = M_s(M; u)."""
+        if self._sectors is not None:
+            return self._sectors
+        A, n, r = self.A, self.n, self.r
+        eye = np.eye(n)
+        gammas, K, maps, scale, frames = [], 0.0, [], [], {}
+        systems = [(((), ()), self.report)] + list(self.report.recursion_reports.items())
+        for (S, P), rep in sorted(systems, key=lambda item: len(item[0][0])):
             if rep.q_minus is None:
                 raise ValidationError("nested certificate lacks Q_-; verdict must pass")
+            s, comp = len(S), [j for j in range(r) if j not in S]
+            Ch = np.array([self.Cp[:, j] if j in P else self.C[:, j] for j in S]).reshape(s, n).T
+            G_S = Ch.T @ A @ Ch
+            dual = np.linalg.solve(G_S, Ch.T @ A)
+            Pr = Ch @ dual
             Qm = np.array([[float(v) for v in row] for row in rep.q_minus])
+            gammas.append(self._min_gen_eig(Pr.T @ A @ Pr - (eye - Pr).T @ Qm @ (eye - Pr)))
+            K += 2.0 ** (-s) * math.factorial(s)
+            L = np.linalg.cholesky(G_S)
+            normals = (A @ (eye - Pr) @ np.hstack([self.C[:, comp], self.Cp[:, comp]])).T
+            maps += [dual, normals[:r - s], -dual, normals[r - s:],
+                     math.sqrt(math.pi) * np.linalg.solve(L, Ch.T @ A), np.zeros((r - s, n))]
+            scale.append((-1.0) ** (len(P) + s) / (2.0 ** r * (2.0 * math.pi) ** s
+                                                    * float(np.prod(np.diag(L)))))
             if S:
-                cols = [self.Cp[:, j] if j in P else self.C[:, j] for j in S]
-                Ch = np.column_stack(cols)
-                Pr = Ch @ np.linalg.solve(Ch.T @ A @ Ch, Ch.T @ A)
-            else:
-                Pr = np.zeros((self.n, self.n))
-            G = Pr.T @ A @ Pr - (eye - Pr).T @ Qm @ (eye - Pr)
-            gammas.append(self._min_gen_eig(G))
-        return min(gammas), K
+                frames.setdefault(s, []).append((np.linalg.inv(G_S), np.diag(G_S)))
+        maps = np.vstack(maps)
+        norms = np.linalg.norm(maps, axis=1)
+        # v: of 32 seeded directions, the one farthest from every wall
+        draws = np.random.default_rng(0).normal(size=(32, n))
+        v = draws[np.argmax(np.min(np.abs(draws @ maps[norms > 0].T) / norms[norms > 0], axis=1,
+                                   initial=np.inf))]
+        ranks, first = [], 1
+        for s, fr in sorted(frames.items()):
+            ranks.append((s, slice(first, first + len(fr)), *map(np.array, zip(*fr))))
+            first += len(fr)
+        self._sectors = (min(gammas), K, np.ascontiguousarray(maps.T), (1e-12 * norms) ** 2,
+                         np.sign(maps @ v), np.array(scale), ranks)
+        return self._sectors
 
-    def completion(self):
-        """(H, plan, signs, step) for the cones C^P, P in mask order, each
-        built by build_cone with frame E: E^A(C^P; x) = E_r(E A C^P; E A x),
-        so the coordinates h = -sqrt(2 pi) (E A C^P)^T E A x / |columns of
-        E A C^P| that eval_E_rows takes are x @ H_P.T. H stacks the r x n
-        maps H_P (2^r r rows), plan is the orthant plan of the 2^r frames
-        E A C^P, signs holds the (-1)^|P| and step is the number of points
-        per eval_E_rows call (see _KERNEL_ROWS). Built once, on first use."""
-        if self._completion is None:
-            maps, corr, signs = [], [], []
-            for mask in range(2 ** self.r):
-                on_p = [bool(mask >> j & 1) for j in range(self.r)]
-                cone = build_cone(np.where(on_p, self.Cp, self.C), self.form)
-                EA = cone.E_frame @ self.A
-                m = ErrorFunctionFrame.from_m(EA @ cone.C).m_mat
-                norms = np.linalg.norm(m, axis=0)
-                maps.append(-math.sqrt(2.0 * np.pi) * (m.T @ EA) / norms[:, None])
-                corr.append((m.T @ m) / np.outer(norms, norms))
-                signs.append((-1.0) ** sum(on_p))
-            plan = orthant_plan(np.array(corr))
-            per_point = plan.bivariate_count(DEFAULT_QUAD.nodes_per_axis)
-            step = max(1, _KERNEL_ROWS // max(per_point, 1))
-            self._completion = np.vstack(maps), plan, signs, step
-        return self._completion
-
-
-# Most bivariate orthant probabilities that one eval_E_rows call of the
-# completed kernel evaluates: _phi_hat_rows takes the points in pieces of
-# this many, but at least one point (a rank-4 point needs 69,728 for its 16
-# cones), so each temporary array stays near _KERNEL_ROWS words whatever the
-# number of points.
-_KERNEL_ROWS = 1 << 16
 
 # keyed by pair identity (ConePair is eq=False); an entry lives as long as its pair
 _RUNTIME_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -317,51 +324,41 @@ def _pair_runtime(pair: ConePair) -> _PairRuntime:
 
 
 def kernel_phi_hat(pair: ConePair, x) -> float:
-    """2^{-r} sum_P (-1)^{|P|} E^A(C^P; x) at a finite point x; smooth, and
-    approaches kernel_phi once every |B(c_j, x)|, |B(c'_j, x)| is large.
-
-    At r = 1 a difference of two erfs or erfcs (_phi_hat_r1); at other ranks the
-    one-row case of _phi_hat_rows, on the completion data cached with the
-    pair, so it equals the value a theta sum takes at x bit for bit.
-    """
+    """The completed kernel phi_hat_r at a finite point x: smooth, and
+    approaches kernel_phi once every |B(c_j, x)|, |B(c'_j, x)| is large. The
+    one-row case of _phi_hat, so it equals the value a theta sum takes at x
+    bit for bit."""
     rt = _pair_runtime(pair)
     X = np.asarray(x, dtype=float).reshape(1, -1)
-    if X.shape[1] != rt.n or not np.all(np.isfinite(X)):
+    if X.shape[1] != rt.n or not np.isfinite(X).all():
         raise ValueError(f"x must be a finite vector of length {rt.n}, got {x}")
-    return float((_phi_hat_r1 if rt.r == 1 else _phi_hat_rows)(rt, X)[0])
+    return float(_phi_hat(rt, X)[0])
 
 
-def _phi_hat_rows(rt: _PairRuntime, X: np.ndarray) -> np.ndarray:
-    """The completed kernel at every row of X: for each piece of points, the
-    coordinates h of all 2^r cones at once, then one eval_E_rows pass over
-    its points and cones (full rule only). h is accumulated column by column
-    rather than by a matrix product, whose rounding depends on the number of
-    rows, so each row's value is the same whatever the other rows and
-    wherever the pieces are cut."""
-    H, plan, signs, step = rt.completion()
-    phi = np.empty(len(X))
-    for a in range(0, len(X), step):
-        Xp = X[a:a + step]
-        h = Xp[:, :1] * H[:, 0]
-        for k in range(1, Xp.shape[1]):
-            h = h + Xp[:, k:k + 1] * H[:, k]
-        E = eval_E_rows(plan, h)[0]
-        total = np.zeros(len(Xp))
-        for f, sign in enumerate(signs):
-            total += sign * E[:, f]
-        phi[a:a + step] = total / 2.0 ** rt.r
-    return phi
-
-
-def _phi_hat_r1(rt: _PairRuntime, X: np.ndarray) -> np.ndarray:
-    """Vectorized r=1 completed kernel 1/2 (erf a - erf b), a = sqrt(pi)
-    B(c,x) / sqrt(Q(c)) and b the same for c'. Where a and b share a sign
-    the erfs would cancel, so there it is 1/2 sign(a) (erfc |b| - erfc |a|).
-    """
-    a = math.sqrt(math.pi) * (X @ rt.AC[:, 0]) / math.sqrt(float(rt.C[:, 0] @ rt.AC[:, 0]))
-    b = math.sqrt(math.pi) * (X @ rt.ACp[:, 0]) / math.sqrt(float(rt.Cp[:, 0] @ rt.ACp[:, 0]))
-    return np.where(a * b > 0, 0.5 * np.sign(a) * (erfc(np.abs(b)) - erfc(np.abs(a))),
-                    0.5 * (erf(a) - erf(b)))
+def _phi_hat(rt: _PairRuntime, X: np.ndarray) -> np.ndarray:
+    """The completed kernel at every row of X (module docstring): one product
+    gives every sector's forms, then come the signs with the wall rule, the
+    sign products D, and one _orthant_J call per rank s >= 1 over the
+    (point, sector) pairs with D != 0, on pieces of at most _FORMS forms. Each
+    point's value is the same whatever the other points and the pieces."""
+    _, _, maps, wall, side, scale, ranks = rt.sectors()
+    N, r, step = len(X), rt.r, max(1, _FORMS // maps.shape[1])
+    if N > step:
+        return np.concatenate([_phi_hat(rt, X[a:a + step]) for a in range(0, N, step)])
+    Z = np.matmul(X[:, None, :], maps)[:, 0]
+    on_wall = Z * Z <= wall * np.add.reduce(X * X, axis=1)[:, None]
+    shape = (N, len(scale), 3 * r)
+    sg, Z = np.where(on_wall, side, np.sign(Z)).reshape(shape), Z.reshape(shape)
+    D = np.multiply.reduce(sg[:, :, :r] - sg[:, :, r:2 * r], axis=2)
+    J = np.ones(D.shape)
+    for s, sl, WtW, d in ranks:
+        p, k = np.nonzero(D[:, sl])
+        if len(p):
+            at = sl.start + k
+            J[p, at] = _orthant_J(WtW[k], sg[p, at, :s], np.abs(Z[p, at, :s]), d[k],
+                                  (DEFAULT_QUAD.nodes_per_axis,))[0]
+    u = Z[:, :, 2 * r:]
+    return np.add.reduce(scale * D * np.exp(-np.add.reduce(u * u, axis=2)) * J, axis=1)
 
 
 class _CountExceeded(BudgetExceeded):
@@ -549,8 +546,7 @@ def _terms(spec: ThetaSpec, m: np.ndarray, rt: _PairRuntime):
                 raise ValidationError(
                     "support point violates Q <= Q_-; certificate inconsistent")
     else:
-        X = math.sqrt(2.0 * tau.imag) * Y
-        phi = (_phi_hat_r1 if rt.r == 1 else _phi_hat_rows)(rt, X)
+        phi = _phi_hat(rt, math.sqrt(2.0 * tau.imag) * Y)
     # combine kernel magnitude and q-power in log space: off-support points have
     # phi = 0 but arbitrarily positive Q(y), and exp alone would overflow
     mag = np.abs(phi)
@@ -572,7 +568,7 @@ def eval_theta(spec: ThetaSpec, policy: TruncationPolicy = TruncationPolicy()) -
     (_budget_region) with the bound there.
     """
     rt = _pair_runtime(spec.pair)
-    gamma, K = (1.0, 1.0) if spec.kernel == "holomorphic" else (rt.gamma_hat, rt.K_hat)
+    gamma, K = (1.0, 1.0) if spec.kernel == "holomorphic" else rt.sectors()[:2]
     a = math.pi * spec.tau.imag * gamma
     log_f = _log_majorants(rt, a)
     T = max(_region(log_f, a, policy.tol, K), (policy.initial_radius or 0.0) ** 2)

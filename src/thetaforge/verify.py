@@ -679,13 +679,16 @@ def _check_theta_convergence_witness(rng, full):
 
 
 def _check_theta_completed_paths(rng, full):
-    # both completed kernel routes, the rank-1 erf path and the batched
-    # rank-2 pass, against sum_P (-1)^|P| E^A(C^P; x) on cones built apart
-    from .theta import _pair_runtime, _phi_hat_r1, _phi_hat_rows
+    # the completed kernel against sum_P (-1)^|P| E^A(C^P; x) on cones built
+    # apart, at rank 1, on a rank-2 direct sum and on the A2 analogue of A4
+    from .theta import _pair_runtime, _phi_hat
     worst = 0.0
-    for pair, kernel in ((_hyp_pair(), _phi_hat_r1), (_hyp_sum_pair(), _phi_hat_rows)):
+    a2 = ConePair.from_matrices(
+        [[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 0], [0, 1], [0, -1], [-1, 0]],
+        BilinearForm.from_rows([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]]))
+    for pair in (_hyp_pair(), _hyp_sum_pair(), a2):
         X = rng.normal(size=(10, pair.n)) * 2.0
-        for x, fast in zip(X, kernel(_pair_runtime(pair), X)):
+        for x, fast in zip(X, _phi_hat(_pair_runtime(pair), X)):
             slow = 0.0
             for mask in range(2 ** pair.r):
                 cols = [pair.C_prime[j] if mask >> j & 1 else pair.C[j] for j in range(pair.r)]
@@ -693,7 +696,7 @@ def _check_theta_completed_paths(rng, full):
                 slow += (-1.0) ** bin(mask).count("1") * eval_E_boosted(
                     BoostedArgument(cone=build_cone(C, pair.form), x=x)).value
             worst = max(worst, abs(fast - slow / 2.0 ** pair.r))
-    return worst, 1e-9, ""
+    return worst, 4e-15, ""
 
 
 def _check_theta_s_law(rng, full):

@@ -389,6 +389,43 @@ def test_tiny_m_est_error_is_relative():
     assert v.est_error <= 1e-12 * abs(v.value)
 
 
+def orthant_reference_M2(m, u):
+    """M_2(m; u) in 40 digits from its orthant integral: pi^-2 sign(a_1 a_2)
+    |det m|^-1 e^{-pi u.u} J, J = int_{[0,inf)^2} exp(-|a|.s - s^T G s / 4 pi)
+    ds, G = diag(eps) W^T W diag(eps), with the inner axis in closed form
+    (pi / sqrt(g)) e^{beta^2 pi / g} erfc(beta sqrt(pi / g)) and the outer
+    axis by mpmath quadrature."""
+    with mpmath.workdps(40):
+        M, U = mpmath.matrix(np.asarray(m).tolist()), mpmath.matrix(list(u))
+        W = (M ** -1).T
+        a, WtW = W.T * U, W.T * W
+        eps = [mpmath.sign(a[0]), mpmath.sign(a[1])]
+        G = [[eps[i] * WtW[i, j] * eps[j] for j in range(2)] for i in range(2)]
+
+        def outer(s):
+            beta = abs(a[1]) + G[0][1] * s / (2 * mpmath.pi)
+            inner = (mpmath.pi / mpmath.sqrt(G[1][1]) * mpmath.exp(beta ** 2 * mpmath.pi / G[1][1])
+                     * mpmath.erfc(beta * mpmath.sqrt(mpmath.pi / G[1][1])))
+            return mpmath.exp(-abs(a[0]) * s - G[0][0] * s ** 2 / (4 * mpmath.pi)) * inner
+
+        J = mpmath.quad(outer, [0, 1, 5, mpmath.inf])
+        return (eps[0] * eps[1] / (mpmath.pi ** 2 * abs(mpmath.det(M)))
+                * mpmath.exp(-mpmath.pi * (U[0] ** 2 + U[1] ** 2)) * J)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["rows", "columns"])
+def test_m_est_error_holds_at_every_node_count(transpose):
+    # the frame where 4096 Gauss-Legendre nodes missed by 1.5e-12 relative
+    # while est_error claimed 6.5e-13 (and its transpose, missed by 4.5e-12);
+    # the rule loses accuracy as the node count grows
+    m = np.array([[-0.935, -0.704], [-0.058, -0.249]])
+    m, u = (m.T if transpose else m), [-1.207, -0.115]
+    want = orthant_reference_M2(m, u)
+    for nodes in (64, 4096):
+        v = eval_M(arg(m, u), QuadratureSpec(nodes))
+        assert abs(mpmath.mpf(v.value) - want) <= v.est_error, nodes
+
+
 # eval_M on coupled, non-orthogonal frames, pinned from the tensor-grid
 # rule that the axis-by-axis contraction replaced (same nodes and box).
 PINNED_SEEDED_M = (0.005777110381116076, -0.024588980988910925, 0.0318939173551131,

@@ -1,9 +1,13 @@
 """Source hygiene: every name a module of the package imports is used in
 that module (__init__.py is left out, since its imports are re-exports),
-and every private module-level function or class is used somewhere in the
-package outside its own definition."""
+every private module-level function or class is used somewhere in the
+package outside its own definition, and every private name that a comment
+or docstring of the package names is one its code knows."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,47 @@ def test_unused_private_helper_is_found():
 
 def test_no_unused_private_helpers():
     assert unused_private_helpers({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+PRIVATE_IN_PROSE = re.compile(r"(?<!\w)_[A-Za-z]\w{2,}")
+
+
+def prose_names(source: str) -> set:
+    """Private identifiers of four or more characters (_name) named in the
+    comments and docstrings of source."""
+    tree = ast.parse(source)
+    prose = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(tree)
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    prose += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type == tokenize.COMMENT]
+    return {name for text in prose for name in PRIVATE_IN_PROSE.findall(text)}
+
+
+def code_names(source: str) -> set:
+    """Every identifier source defines or refers to in code."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_prose_names_are_found():
+    source = ('"""Uses _helper and _gone, not u_ii or _ij."""\n\n\n'
+              'def _helper():\n    # calls _other_gone\n    return 1\n')
+    assert prose_names(source) == {"_helper", "_gone", "_other_gone"}
+    assert sorted(prose_names(source) - code_names(source)) == ["_gone", "_other_gone"]
+
+
+def test_private_names_in_prose_are_defined():
+    sources = [p.read_text() for p in SRC.glob("*.py")]
+    defined = set().union(*map(code_names, sources))
+    assert sorted(set().union(*map(prose_names, sources)) - defined) == []

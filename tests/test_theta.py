@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from thetaforge import theta
+from thetaforge import errfn, theta
 from thetaforge.boosted import BoostedArgument, build_cone, eval_E_boosted
 from thetaforge.cones import ConePair, build_a4_example
 from thetaforge.exceptions import BudgetExceeded, ValidationError
@@ -133,8 +133,11 @@ def test_runtime_cache_frees_collected_pairs():
     runtimes = [_pair_runtime(pair) for pair in pairs]
     assert len(theta._RUNTIME_CACHE) == before + 5
     assert _pair_runtime(pairs[0]) is runtimes[0]
-    kernel_phi_hat(pairs[-1], np.ones(4))  # builds the completion data
-    assert runtimes[-1]._completion is not None
+    eval_theta(ThetaSpec(form=PRODUCT, mu=(0,) * 4, p=(1, 0, 1, 0), b=np.zeros(4),
+                         c_ell=np.zeros(4), tau=1j, pair=pairs[-1]))
+    assert runtimes[-1]._sectors is None  # a holomorphic sum builds no sector table
+    kernel_phi_hat(pairs[-1], np.ones(4))
+    assert runtimes[-1]._sectors is not None
     del pairs
     gc.collect()
     assert len(theta._RUNTIME_CACHE) == before
@@ -702,28 +705,87 @@ def boosted_kernel_sum(pair, x) -> float:
 @pytest.mark.parametrize("make_pair, count", [(product_pair, 12), (a2_pair, 12),
                                               (build_a4_example, 3)])
 def test_batched_kernel_rows(monkeypatch, make_pair, count):
-    # each row of one pass (at rank 4 in pieces of two points, from a fresh
-    # pair's completion data) equals the one-point kernel bit for bit, and
-    # the 2^r boosted E sum to 4e-15
-    monkeypatch.setattr(theta, "_KERNEL_ROWS", 150_000)
+    # each row of one call (points in pieces of two at rank 2 and of one at
+    # rank 4, orthant integrals in pieces of three rows at rank 2 and one at
+    # ranks 3 and 4) equals the one-point kernel bit for bit, and the 2^r
+    # boosted E sum to 4e-15
+    monkeypatch.setattr(theta, "_FORMS", 2 * 54)
+    monkeypatch.setattr(errfn, "_J_CELLS", 3 * 64)
     pair = make_pair()
-    rt = _pair_runtime(pair)
-    assert rt.completion()[3] == (2 if pair.r == 4 else 37_500)
     X = np.random.default_rng(4099).normal(size=(count, pair.n)) * 1.5
-    batch = theta._phi_hat_rows(rt, X)
+    batch = theta._phi_hat(_pair_runtime(pair), X)
     for x, got in zip(X, batch):
         assert got == kernel_phi_hat(pair, x)
         assert abs(got - boosted_kernel_sum(pair, x)) <= 4e-15
 
 
+def d12_kernel(X: np.ndarray) -> np.ndarray:
+    """The completed kernel of d12_pair at the rows of X: 1/2 (erf a - erf b)
+    with a, b = sqrt(pi) B(c, x) / sqrt(Q(c)) for c = (1, 0) and c' = (2, 1);
+    where a and b share a sign it is 1/2 sign(a) (erfc |b| - erfc |a|), with
+    erfc lo - erfc hi = e^{-lo^2} (erfcx lo - erfcx hi e^{lo^2 - hi^2}), so
+    nothing cancels."""
+    from scipy.special import erf, erfcx
+    a = math.sqrt(math.pi) * X[:, 0]
+    b = math.sqrt(math.pi) * (2.0 * X[:, 0] - 2.0 * X[:, 1]) / math.sqrt(2.0)
+    lo, hi = np.minimum(np.abs(a), np.abs(b)), np.maximum(np.abs(a), np.abs(b))
+    gap = np.exp(-lo * lo) * (erfcx(lo) - erfcx(hi) * np.exp(lo * lo - hi * hi))
+    same = 0.5 * np.sign(a) * np.where(np.abs(b) < np.abs(a), gap, -gap)
+    return np.where(a * b > 0, same, 0.5 * (erf(a) - erf(b)))
+
+
 def test_product_kernel_is_product_of_rank1_kernels():
     X = np.random.default_rng(77).normal(size=(400, 4)) * 1.2
-    got = theta._phi_hat_rows(_pair_runtime(product_pair()), X)
-    d12 = d12_pair()
-    want = np.array([kernel_phi_hat(d12, x[:2]) * kernel_phi_hat(d12, x[2:]) for x in X])
-    big = np.abs(want) >= 1e-4
-    assert big.sum() >= 100
-    assert np.all(np.abs(got[big] - want[big]) <= 1e-10 * np.abs(want[big]))
+    got = theta._phi_hat(_pair_runtime(product_pair()), X)
+    want = d12_kernel(X[:, :2]) * d12_kernel(X[:, 2:])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+# four points where the product pair's kernel is below 1e-15 (SMALL_PHI_POINTS
+# of bench/tfbench/errfn.py), which the 2^r-cone sum of E values missed by
+# 6e-5 to 140 relative, or returned as exactly 0
+SMALL_PHI_POINTS = ((-0.011, 1.641, -3.221, 0.988), (-3.194, 1.576, 1.453, 3.236),
+                    (-3.148, 3.785, 3.365, 1.953), (-0.338, -1.924, -3.557, 0.646))
+
+
+def test_small_product_kernel_values():
+    X = np.array(SMALL_PHI_POINTS)
+    want = d12_kernel(X[:, :2]) * d12_kernel(X[:, 2:])
+    assert np.all((np.abs(want) < 1e-15) & (want != 0.0))
+    got = np.array([kernel_phi_hat(product_pair(), x) for x in X])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("make_pair", [product_pair, a2_pair, d12_pair])
+def test_kernel_on_the_b0_lattice_grid(make_pair):
+    # x = sqrt(1.4) k, |k_i| <= 2: b = 0 puts about half of these points on a
+    # wall of some sector, where each sign is the one-sided limit along the
+    # pair's fixed direction; the 2^r boosted E sum has no walls
+    pair = make_pair()
+    ks = np.stack(np.meshgrid(*[np.arange(-2, 3)] * pair.n, indexing="ij"), -1).reshape(-1, pair.n)
+    X = math.sqrt(1.4) * ks
+    got = theta._phi_hat(_pair_runtime(pair), X)
+    want = np.array([boosted_kernel_sum(pair, x) for x in X])
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_kernel_is_continuous_across_walls():
+    # on the A2 pair, at a point of the top-level wall B(c_1, x) = 0 and at
+    # one of the complement wall B(c_2 - Pr c_2, x) = 0 of sector ({1}, {}),
+    # the kernel 1e-13 relative to either side equals its value on the wall
+    pair = a2_pair()
+    A = pair.form.matrix()
+    c1, c2 = (np.array([float(v) for v in col]) for col in pair.C)
+    normals = [A @ c1, A @ (c2 - c1 * (c1 @ A @ c2) / (c1 @ A @ c1))]
+    rng = np.random.default_rng(5)
+    for nrm in normals:
+        x = rng.normal(size=4) * 1.5
+        x -= nrm * (nrm @ x) / (nrm @ nrm)
+        on = kernel_phi_hat(pair, x)
+        assert abs(on - boosted_kernel_sum(pair, x)) <= 1e-14
+        step = 1e-13 * np.linalg.norm(x) * nrm / np.linalg.norm(nrm)
+        for side in (x + step, x - step):
+            assert abs(kernel_phi_hat(pair, side) - on) <= 1e-14
 
 
 @pytest.mark.parametrize("make_pair, x", [(product_pair, [1.0, 2.0, 3.0]),
@@ -750,45 +812,18 @@ def remainder_spec(name, a4_pair, kernel, rng):
                      c_ell=rng.uniform(-0.5, 0.5, n), tau=tau, kernel=kernel, pair=pair), tol
 
 
-def term_magnitudes(spec, m):
-    """|term| at each row of m. The completed product pair's kernel is the
-    product of two rank-1 kernels and Q splits as Q_1 + Q_2, so its terms
-    are products of cancellation-free rank-1 terms; every other case takes
-    the library's terms."""
-    rt = _pair_runtime(spec.pair)
-    if spec.kernel == "holomorphic" or spec.pair.r == 1 or spec.form != PRODUCT:
-        return np.abs(theta._terms(spec, m, rt)[0])
-    rt1 = _pair_runtime(d12_pair())
-    Y = m + spec.offset_float + spec.b
-    out = np.ones(len(m))
-    for half in (slice(0, 2), slice(2, 4)):
-        y = Y[:, half]
-        phi = theta._phi_hat_r1(rt1, math.sqrt(2.0 * spec.tau.imag) * y)
-        q = np.einsum("ki,ij,kj->k", y, D12.matrix(), y)
-        with np.errstate(divide="ignore"):
-            out *= np.exp(np.log(np.abs(phi)) + math.pi * spec.tau.imag * q)
-    return out
-
-
-# the rank >= 2 completed kernel is the cancelling 2^r-term sum of E values
-# (ROADMAP items 1 and 2): off the support its rounding, times
-# e^{pi tau_2 Q(y)}, gives |terms| far above the bound
-KERNEL_FAULT = pytest.mark.xfail(strict=True, reason="rank >= 2 completed kernel cancels")
-
-
 @pytest.mark.parametrize("name, kernel", [
     ("hyp", "holomorphic"), ("d12", "holomorphic"), ("product", "holomorphic"),
     ("a2", "holomorphic"), ("a4", "holomorphic"), ("hyp", "completed"),
-    ("d12", "completed"), ("product", "completed"),
-    pytest.param("a2", "completed", marks=KERNEL_FAULT),
-    pytest.param("a4", "completed", marks=KERNEL_FAULT)])
+    ("d12", "completed"), ("product", "completed"), ("a2", "completed"),
+    ("a4", "completed")])
 def test_remainder_beyond_region_within_tail_estimate(a4_pair, name, kernel):
     # enumerate to 4T: the |terms| found beyond T sum to at most the
     # claimed tail_estimate, which sits at tol
     spec, tol = remainder_spec(name, a4_pair, kernel, np.random.default_rng(41))
     got = eval_theta(spec, TruncationPolicy(tol=tol))
     rt = _pair_runtime(spec.pair)
-    gamma, K = (1.0, 1.0) if kernel == "holomorphic" else (rt.gamma_hat, rt.K_hat)
+    gamma, K = (1.0, 1.0) if kernel == "holomorphic" else rt.sectors()[:2]
     a = math.pi * spec.tau.imag * gamma
     T = theta._region(theta._log_majorants(rt, a), a, tol, K)
     assert tol * 0.999 < got.tail_estimate <= tol
@@ -798,7 +833,7 @@ def test_remainder_beyond_region_within_tail_estimate(a4_pair, name, kernel):
     beyond = S > T * (1.0 + 1e-9)
     assert np.count_nonzero(~beyond) == got.n_points
     assert np.count_nonzero(beyond) >= 2 * got.n_points
-    assert float(term_magnitudes(spec, m[beyond]).sum()) <= got.tail_estimate
+    assert float(np.abs(theta._terms(spec, m[beyond], rt)[0]).sum()) <= got.tail_estimate
 
 
 def test_a4_value_and_q_expansion_finish(a4_pair):
@@ -823,6 +858,22 @@ def test_points_per_tol_product_low_tau():
     v = eval_theta(spec, TruncationPolicy(tol=1e-8))
     assert v.n_points <= 1000
     assert v.tail_estimate <= 1e-8
+
+
+def test_completed_product_value_is_product_of_rank1_values():
+    # the product pair's series factorizes into two diag(1,-2) series; the
+    # 2^r-cone sum of E values missed this product by 46 times its size
+    rng = np.random.default_rng(15)
+    b, c_ell, tau = rng.uniform(-0.5, 0.5, 4), rng.uniform(-0.5, 0.5, 4), 0.1 + 1.5j
+    got = eval_theta(ThetaSpec(form=PRODUCT, mu=(0,) * 4, p=(1, 0, 1, 0), b=b, c_ell=c_ell,
+                               tau=tau, kernel="completed", pair=product_pair()),
+                     TruncationPolicy(tol=1e-12)).value
+    want = 1.0
+    for h in (slice(0, 2), slice(2, 4)):
+        want *= eval_theta(ThetaSpec(form=D12, mu=(0, 0), p=(1, 0), b=b[h], c_ell=c_ell[h],
+                                     tau=tau, kernel="completed", pair=d12_pair()),
+                           TruncationPolicy(tol=1e-14)).value
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 # (form, c, c', mu, p) of the three rank-1 pairs, and one (tau, b, c_ell)
