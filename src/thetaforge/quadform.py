@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -119,13 +118,6 @@ class ErrorFunctionFrame:
 
     def w(self, j: int) -> np.ndarray:
         return self.w_mat[:, j]
-
-    @cached_property
-    def orthant_data(self) -> tuple:
-        """(W^T W, diag(M^T M), |det M|, |m_j|, M^T M / |m_i| |m_j|), once."""
-        m, d = self.m_mat, np.add.reduce(self.m_mat * self.m_mat, axis=0)
-        return (self.w_mat.T @ self.w_mat, d, abs(float(np.linalg.det(m))), np.sqrt(d),
-                (m.T @ m) / (np.sqrt(d)[:, None] * np.sqrt(d)))
 
 
 def _mgs_rows(vectors: list[np.ndarray]) -> np.ndarray:
