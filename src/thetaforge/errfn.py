@@ -25,9 +25,12 @@ J has a smooth positive integrand with no poles, uniformly in the wall
 distances. Its axis of strongest decay is integrated in closed form (erfcx),
 the others by Gauss-Legendre on truncated boxes, built and contracted axis
 by axis from 1-D node vectors, so M_r keeps its relative precision however
-small it is. The contour-shifted tensor Gauss-Hermite rule is kept as
-eval_M_contour; it is spectrally accurate only when every |a_j| is order
-one and serves as a cross-check.
+small it is. The grid is built in pieces of at most _J_CELLS cells, so that
+its temporaries stay in L2: a batch's rows in groups, a rank-4 row in slabs
+along its outermost node axis. Each piece does the arithmetic of the whole
+grid, so the values do not depend on the pieces. The contour-shifted tensor
+Gauss-Hermite rule is kept as eval_M_contour; it is spectrally accurate
+only when every |a_j| is order one and serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -163,7 +166,12 @@ def _tensor_grid(nodes: list[np.ndarray], weights: list[np.ndarray]):
     return np.array([g.reshape(-1) for g in grids]).reshape(len(nodes), wt.size), wt.reshape(-1)
 
 
-_J_CELLS = 1 << 18  # rows of _orthant_J go in pieces of m rows with m n^(s-1) <= this, m >= 1
+# Most cells of one piece of _orthant_J: its 128 KB temporaries stay in L2, where
+# a whole rank-4 row at 64 nodes makes 2 MB ones. A rank-3 row (at most 256^2
+# cells within MAX_GRID_POINTS) is never cut: its innermost contraction is one
+# matrix-vector product, and BLAS rounds some rows of a product over part of the
+# matrix differently.
+_J_CELLS = 1 << 14
 
 
 @lru_cache(maxsize=None)
@@ -205,13 +213,22 @@ def _orthant_J(WtW: np.ndarray, eps: np.ndarray, b: np.ndarray, d: np.ndarray,
     scaled by the product of the box half widths. A row's few scalars are
     Python floats, its node arrays are built with all rows at once, and no
     row's value depends on the other rows.
+
+    Cells are built in pieces of at most _J_CELLS, so that the exponent,
+    erfcx and exp temporaries stay in L2: whole rows in groups and, at
+    s >= 4, a longer row in slabs along its outermost node axis. Each slab
+    is contracted over its innermost axis on whole matrices of the last two
+    axes, the slabs are joined and the other axes contracted as for a whole
+    row, so the pieces change no bit of J.
     """
     N, s = b.shape
     if s == 1:  # eps^2 = 1: G = WtW
         gamma = WtW[:, 0, 0]
         v = np.pi / np.sqrt(gamma) * erfcx(b[:, 0] * np.sqrt(np.pi / gamma))
         return v[None].repeat(len(rules), axis=0)
-    c, step = s - 1, max(1, _J_CELLS // max(rules) ** (s - 1))
+    c = s - 1
+    # cells of one row: the joint rule's nodes at s = 2, one rule's grid per pass above
+    step = max(1, _J_CELLS // (sum(rules) if c == 1 else max(rules) ** c))
     if N > step:
         return np.concatenate([_orthant_J(WtW[sl], eps[sl], b[sl], d[sl], rules)
                                for sl in (slice(a, a + step) for a in range(0, N, step))], axis=1)
@@ -238,22 +255,36 @@ def _orthant_J(WtW: np.ndarray, eps: np.ndarray, b: np.ndarray, d: np.ndarray,
     # one row keeps Python floats, which numpy broadcasts at less cost
     col = scalars[0] if N == 1 else list(
         np.array(scalars).reshape((N, base[c]) + (1,) * c).swapaxes(0, 1))
+
+    def log_erfcx(T):  # of the erfcx argument x, on the node arrays T of the other axes
+        xx = col[1]
+        for i in range(c):
+            if coupled[i]:
+                xx = xx + col[base[i] + 3] * T[i]
+        return _log_erfcx(np.array(xx, ndmin=s, copy=None))
+
     lines = []
     # at s = 2 the rules share the one node axis and run as one pass side by side
     for group in [rules] if c == 1 else [(nodes,) for nodes in rules]:
         x1, B = _joint_rule(group)
-        S = [(x1 * col[base[i]]).reshape((N,) + (1,) * i + (len(x1),) + (1,) * (c - 1 - i))
+        n = len(x1)
+        S = [(x1 * col[base[i]]).reshape((N,) + (1,) * i + (n,) + (1,) * (c - 1 - i))
              for i in range(c)]
-        L, xx = col[0], col[1]
-        for i in range(c):
-            L = L - S[i] * (col[base[i] + 1] + col[base[i] + 2] * S[i])
-            for q in range(i):
-                L -= (col[base[i] + 4 + q] * S[q]) * S[i]
-            if coupled[i]:
-                xx = xx + col[base[i] + 3] * S[i]
-        L += _log_erfcx(np.array(xx, ndmin=s, copy=None))
-        F = np.exp(L, out=L)
-        for _ in range(c - 1):  # inner axes, at c > 1 of the group's one rule
+        # one slab, unless a one-row piece at c > 2 has more than _J_CELLS cells
+        slab, parts = n if c < 3 else max(1, _J_CELLS // (N * n ** (c - 1))), []
+        held = None if coupled[0] else log_erfcx(S)  # then the same in every slab
+        for lo in range(0, n, slab):
+            T = [S[0][:, lo:lo + slab]] + S[1:]
+            L = col[0]
+            for i in range(c):
+                L = L - T[i] * (col[base[i] + 1] + col[base[i] + 2] * T[i])
+                for q in range(i):
+                    L -= (col[base[i] + 4 + q] * T[q]) * T[i]
+            L += log_erfcx(T) if held is None else held
+            F = np.exp(L, out=L)
+            parts.append(F @ B[:, 0] if c > 1 else F)  # the innermost axis, of one rule at c > 1
+        F = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        for _ in range(c - 2):  # the other inner axes
             F = F @ B[:, 0]
         lines.append((F[:, None, :] @ B)[:, 0])  # a product per row, whatever the other rows
     J = lines[0] if len(lines) == 1 else np.concatenate(lines, axis=1)

@@ -2,6 +2,7 @@
 derivative/shadow/PDE identities, bound, discontinuity structure."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -473,10 +474,14 @@ def test_m_matches_pinned_values_on_coupled_frames():
 
 
 def _eval_M_seeing_erfcx(m, u, monkeypatch):
-    """eval_M's value and the erfcx arguments it evaluated."""
-    seen, log_erfcx = [], errfn._log_erfcx
-    monkeypatch.setattr(errfn, "_log_erfcx", lambda x: seen.append(x) or log_erfcx(x))
-    return eval_M(arg(m, u)).value, seen
+    """eval_M's value and the erfcx arguments of every call made under its
+    64-node rule (a rank-4 row may make one per slab)."""
+    seen, rules = [], []
+    log_erfcx, joint_rule = errfn._log_erfcx, errfn._joint_rule
+    monkeypatch.setattr(errfn, "_joint_rule", lambda group: rules.append(group) or joint_rule(group))
+    monkeypatch.setattr(errfn, "_log_erfcx", lambda x: seen.append((rules[-1], x)) or log_erfcx(x))
+    value = eval_M(arg(m, u)).value
+    return value, [x for group, x in seen if 64 in group]
 
 
 @pytest.mark.parametrize("case", range(len(PINNED_NEGATIVE_M)))
@@ -484,7 +489,7 @@ def test_m_matches_pinned_values_under_negative_coupling(case, monkeypatch):
     m, u, want, below = PINNED_NEGATIVE_M[case]
     value, seen = _eval_M_seeing_erfcx(m, u, monkeypatch)
     assert value == pytest.approx(want, rel=1e-13, abs=0.0)
-    assert seen[0].min() < below
+    assert min(x.min() for x in seen) < below
 
 
 @pytest.mark.parametrize("case", range(len(PINNED_UNCOUPLED_M)))
@@ -493,7 +498,38 @@ def test_m_matches_pinned_values_with_zero_couplings(case, monkeypatch):
     value, seen = _eval_M_seeing_erfcx(m, u, monkeypatch)
     assert value == pytest.approx(want, rel=1e-13, abs=0.0)
     # at 64 nodes erfcx runs on fewer points than the grid of the r - 1 axes
-    assert seen[0].size < 64 ** (len(u) - 1)
+    assert sum(x.size for x in seen) < 64 ** (len(u) - 1)
+
+
+# the first column apart from the others: at the first point below, the erfcx
+# argument of a rank-4 row is the same in every slab
+SPLIT4 = [[0.9, 0.0, 0.0, 0.0], [0.0, 1.0, 0.6, 0.2], [0.0, 0.3, 1.2, -0.4], [0.0, 0.1, 0.2, 0.8]]
+PIECE_FRAMES = {3: [GENERAL_FRAMES[3], BLOCK3] + [m for m, *_ in PINNED_NEGATIVE_M[2:4]],
+                4: [GENERAL_FRAMES[4], BLOCK4, SPLIT4] + [m for m, *_ in PINNED_NEGATIVE_M[4:]]}
+
+
+@pytest.mark.parametrize("r, nodes", [(3, 64), (3, 250), (4, 64), (4, 33)])
+def test_m_is_the_same_whatever_the_pieces(monkeypatch, r, nodes):
+    # whole rows of the full rule against the default pieces: the same bits
+    points = [[0.45, -0.65, 0.3, 0.5][:r], [-1.2, 0.4, 0.9, -0.3][:r]]
+    cases = [arg(m, u) for m in PIECE_FRAMES[r] for u in points]
+    quad = QuadratureSpec(nodes)
+    pieces = [(v.value, v.est_error) for v in (eval_M(a, quad) for a in cases)]
+    monkeypatch.setattr(errfn, "_J_CELLS", nodes ** (r - 1))
+    assert [(v.value, v.est_error) for v in (eval_M(a, quad) for a in cases)] == pieces
+
+
+def test_rank_4_m_keeps_its_temporaries_small():
+    # one rank-4 row of 64^3 cells goes in slabs of _J_CELLS cells
+    a = arg(GENERAL_FRAMES[4], [0.45, -0.65, 0.3, 0.5])
+    eval_M(a)  # the rules are cached on the first call
+    tracemalloc.start()
+    try:
+        eval_M(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_mc_oracle_error_is_not_zero_when_every_sample_agrees():

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module of the package imports is used in
 that module (__init__.py is left out, since its imports are re-exports),
-every private module-level function or class is used somewhere in the
-package outside its own definition, and every private name that a comment
+every private module-level function, class or constant is used somewhere
+in the package outside its own definition, and every private name that a comment
 or docstring of the package names is one its code knows."""
 
 import ast
@@ -38,31 +38,44 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def defined_names(node) -> list:
+    """The names a module-level statement defines: a function or class, or
+    the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def unused_private_helpers(sources: dict) -> list:
-    """(module, name) of each module-level function or class named _name in
-    sources (module -> source text) that no code of any module refers to
-    outside that definition."""
+    """(module, name) of each module-level function, class or constant named
+    _name in sources (module -> source text) that no code of any module
+    refers to outside that definition or assignment."""
     defs, refs = [], []
     for module, source in sources.items():
         tree = ast.parse(source)
-        defs += [(module, node) for node in tree.body
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                 and node.name.startswith("_") and not node.name.startswith("__")]
+        defs += [(module, name, node) for node in tree.body for name in defined_names(node)
+                 if name.startswith("_") and not name.startswith("__")]
         refs += [(module, n.id if isinstance(n, ast.Name) else n.attr, n.lineno)
                  for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
 
-    def referenced(module, node):
-        return any(name == node.name and (m != module or not node.lineno <= line <= node.end_lineno)
-                   for m, name, line in refs)
+    def referenced(module, name, node):
+        return any(ref == name and (m != module or not node.lineno <= line <= node.end_lineno)
+                   for m, ref, line in refs)
 
-    return sorted((module, node.name) for module, node in defs if not referenced(module, node))
+    return sorted((module, name) for module, name, node in defs
+                  if not referenced(module, name, node))
 
 
 def test_unused_private_helper_is_found():
-    sources = {"a.py": "def _used():\n    pass\n\n\ndef _recursive(n):\n"
+    sources = {"a.py": "_LIMIT, _LEFT = 4, 5\n_ORPHAN: int = 3\n\n\ndef _used():\n"
+                       "    return _LIMIT\n\n\ndef _recursive(n):\n"
                        "    return _recursive(n - 1)\n\n\nclass _Orphan:\n    pass\n",
                "b.py": "from a import _used\n\n\ndef public():\n    return _used()\n"}
-    assert unused_private_helpers(sources) == [("a.py", "_Orphan"), ("a.py", "_recursive")]
+    assert unused_private_helpers(sources) == [("a.py", "_LEFT"), ("a.py", "_ORPHAN"),
+                                               ("a.py", "_Orphan"), ("a.py", "_recursive")]
 
 
 def test_no_unused_private_helpers():
