@@ -5,8 +5,8 @@ from .boosted import (BoostedArgument, ConeMatrix, boosted_bound_check,
                       boosted_decompositions, boosted_shadow, build_cone,
                       eval_E_boosted, eval_M_boosted, vigneras_residual_boosted)
 from .cones import (ConePair, ConeSystemReport, build_a4_example,
-                    build_r1_example, check_cone_pair, det_identity_residual,
-                    q_minus_form)
+                    build_ar_example, build_r1_example, check_cone_pair,
+                    det_identity_residual, q_minus_form)
 from .errfn import (ErrFnArgument, ErrFnValue, QuadratureSpec, bound_check,
                     decompose_E_into_M, decompose_M_into_E, derivative_E,
                     derivative_M, discontinuity_limit, eval_E, eval_E_oracle_mc,

@@ -26,6 +26,10 @@ Each system's Q_- inertia on the A-orthocomplement of its chosen vectors
 comes from Gram matrices alone: the inertias of A, of the chosen Gram, of
 the family Gram and of Q_- in the family's coordinates (see
 _q_minus_inertia). No basis of the complement is built.
+
+build_ar_example(r) builds the A_r family of admissible pairs, whose r = 4
+member (build_a4_example) is the paper's non-factorizable example;
+build_r1_example is a minimal rank-1 pair.
 """
 
 from __future__ import annotations
@@ -321,30 +325,25 @@ def det_identity_residual(pair: ConePair, x) -> Fraction:
     return lhs - (delta * q_minus_x - xmx)
 
 
+def build_ar_example(r: int) -> ConePair:
+    """The rank-r member of the A_r family: the signature (r, r) form
+    [[G(A_r), -I_r], [-I_r, 0]], G(A_r) the A_r Cartan matrix, with
+    c_i = e_i and c'_i = e_i - e_{r + (i+1 mod r)}. It passes check_cone_pair
+    for r = 1..4; r = 5 fails at reduced_cofactor_negative_definite."""
+    A = [[0] * (2 * r) for _ in range(2 * r)]
+    for i in range(r):
+        A[i][i] = 2
+        A[i][r + i] = A[r + i][i] = -1
+        if i + 1 < r:
+            A[i][i + 1] = A[i + 1][i] = -1
+    C = [[int(i == j) for j in range(r)] for i in range(2 * r)]
+    Cp = [[int(i == j) - int(i == r + (j + 1) % r) for j in range(r)] for i in range(2 * r)]
+    return ConePair.from_matrices(C, Cp, BilinearForm.from_rows(A))
+
+
 def build_a4_example() -> ConePair:
-    """The bundled non-factorizable rank-4 instance on the signature (4,4)
-    form [[G(A4), -I4], [-I4, 0]]; passes check_cone_pair."""
-    G = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-    A = [[0] * 8 for _ in range(8)]
-    for i in range(4):
-        for j in range(4):
-            A[i][j] = G[i][j]
-        A[i][4 + i] = -1
-        A[4 + i][i] = -1
-    form = BilinearForm.from_rows(A)
-
-    def e(i):
-        v = [0] * 8
-        v[i] = 1
-        return v
-
-    def minus(a, b):
-        return [x - y for x, y in zip(a, b)]
-
-    C = [e(0), e(1), e(2), e(3)]
-    Cp = [minus(e(0), e(5)), minus(e(1), e(6)), minus(e(2), e(7)), minus(e(3), e(4))]
-    cols = lambda vs: [[vs[j][i] for j in range(4)] for i in range(8)]
-    return ConePair.from_matrices(cols(C), cols(Cp), form)
+    """The paper's non-factorizable rank-4 instance, build_ar_example(4)."""
+    return build_ar_example(4)
 
 
 def build_r1_example() -> ConePair:

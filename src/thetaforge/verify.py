@@ -29,8 +29,8 @@ from . import rational as ra
 from .boosted import (BoostedArgument, boosted_bound_check, boosted_decompositions,
                       boosted_shadow, build_cone, eval_E_boosted, eval_M_boosted,
                       vigneras_residual_boosted)
-from .cones import (ConePair, build_a4_example, build_r1_example, check_cone_pair,
-                    det_identity_residual)
+from .cones import (ConePair, build_a4_example, build_ar_example, build_r1_example,
+                    check_cone_pair, det_identity_residual)
 from .errfn import (ErrFnArgument, QuadratureSpec, bound_check, decompose_E_into_M,
                     decompose_M_into_E, derivative_E, derivative_M, discontinuity_limit,
                     eval_E, eval_E_oracle_mc, eval_M, eval_M_contour, shadow, sum_terms,
@@ -496,7 +496,7 @@ def _check_cones_a4(rng, full):
 
 
 def _check_cones_degenerate_control(rng, full):
-    A = BilinearForm.from_rows([[1, 0], [0, -1]])
+    A = build_r1_example().form
     pair = ConePair.from_matrices([[1], [0]], [[1], [0]], A)   # c' = c: Delta = 0
     rep = check_cone_pair(pair)
     ok = (not rep.passed) and rep.first_failed == "delta_sign"
@@ -621,12 +621,12 @@ def _check_theta_qexp(rng, full):
 
 
 _D22 = BilinearForm.from_rows([[2, 0], [0, -2]])
+_D22_PAIR = ConePair.from_matrices([[1], [0]], [[3], [1]], _D22)
 
 
 def _d22_spec(tau, b, c, mu=(Fraction(1, 2), Fraction(0)), kernel="holomorphic"):
-    pair = ConePair.from_matrices([[1], [0]], [[3], [1]], _D22)
     return ThetaSpec(form=_D22, mu=mu, p=(0, 0), b=b, c_ell=c, tau=tau,
-                     kernel=kernel, pair=pair)
+                     kernel=kernel, pair=_D22_PAIR)
 
 
 def _check_theta_t_law(rng, full):
@@ -680,13 +680,11 @@ def _check_theta_convergence_witness(rng, full):
 
 def _check_theta_completed_paths(rng, full):
     # the completed kernel against sum_P (-1)^|P| E^A(C^P; x) on cones built
-    # apart, at rank 1, on a rank-2 direct sum and on the A2 analogue of A4
+    # apart, at rank 1, on a rank-2 direct sum and on the A2 and A3 members of
+    # the A_r family
     from .theta import _pair_runtime, _phi_hat
     worst = 0.0
-    a2 = ConePair.from_matrices(
-        [[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 0], [0, 1], [0, -1], [-1, 0]],
-        BilinearForm.from_rows([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]]))
-    for pair in (_hyp_pair(), _hyp_sum_pair(), a2):
+    for pair in (_hyp_pair(), _hyp_sum_pair(), build_ar_example(2), build_ar_example(3)):
         X = rng.normal(size=(10, pair.n)) * 2.0
         for x, fast in zip(X, _phi_hat(_pair_runtime(pair), X)):
             slow = 0.0
@@ -700,21 +698,17 @@ def _check_theta_completed_paths(rng, full):
 
 
 def _check_theta_s_law(rng, full):
-    A = BilinearForm.from_rows([[2, 0], [0, -2]])
-    pair = ConePair.from_matrices([[1], [0]], [[3], [1]], A)
     b = np.array([0.13, 0.07])
     c = np.array([0.21, -0.11])
-    disc = discriminant_group(A)
+    disc = discriminant_group(_D22)
     vals = {}
     for nu in disc:
-        vals[nu] = eval_theta(ThetaSpec(form=A, mu=nu, p=(0, 0), b=b, c_ell=c, tau=1j,
-                                        kernel="completed", pair=pair)).value
+        vals[nu] = eval_theta(_d22_spec(1j, b, c, mu=nu, kernel="completed")).value
     pref = 1j * ((-1j) * 1j) ** (0 + 1.0) / math.sqrt(len(disc))
     lhss, rhss = [], []
-    Af = A.matrix()
+    Af = _D22.matrix()
     for mu_t in disc:
-        lhs = eval_theta(ThetaSpec(form=A, mu=mu_t, p=(0, 0), b=c, c_ell=-b, tau=1j,
-                                   kernel="completed", pair=pair)).value
+        lhs = eval_theta(_d22_spec(1j, c, -b, mu=mu_t, kernel="completed")).value
         tot = sum(np.exp(2j * math.pi * float(
             np.array([float(x) for x in mu_t]) @ Af @ np.array([float(x) for x in nu])))
             * vals[nu] for nu in disc)

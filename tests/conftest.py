@@ -5,6 +5,16 @@ from thetaforge.cones import ConePair, build_a4_example, build_r1_example
 from thetaforge.quadform import BilinearForm, ErrorFunctionFrame
 
 
+PRODUCT = BilinearForm.from_rows([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, -2]])
+
+
+def product_pair() -> ConePair:
+    """The direct sum of two diag(1, -2) pairs c = (1, 0), c' = (2, 1):
+    c = (e1, e3), c' = (2e1 + e2, 2e3 + e4)."""
+    return ConePair.from_matrices([[1, 0], [0, 0], [0, 1], [0, 0]],
+                                  [[2, 0], [1, 0], [0, 2], [0, 1]], PRODUCT)
+
+
 @pytest.fixture(scope="session")
 def a4_pair():
     return build_a4_example()

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import product_pair
 from thetaforge import rational as ra
 from thetaforge import serialize
 from thetaforge.cli import _cone_report_doc
 from thetaforge.cones import (CONDITION_ORDER, ConePair, build_a4_example,
-                              build_r1_example, check_cone_pair,
+                              build_ar_example, build_r1_example, check_cone_pair,
                               det_identity_residual, q_minus_form)
 from thetaforge.exceptions import DegenerateForm, NonExactInput, ZeroDelta
 from thetaforge.quadform import BilinearForm, signature
@@ -83,6 +84,24 @@ def test_a4_example_full_certificate():
     assert elapsed < 10.0
 
 
+def test_ar_example_is_the_typed_out_a2_and_a4():
+    # the rank-4 member is the A4 example as first typed out, and the rank-2
+    # member the A2 pair of the kernel checks
+    a4_form = [[2, -1, 0, 0, -1, 0, 0, 0], [-1, 2, -1, 0, 0, -1, 0, 0],
+               [0, -1, 2, -1, 0, 0, -1, 0], [0, 0, -1, 2, 0, 0, 0, -1],
+               [-1, 0, 0, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0, 0, 0],
+               [0, 0, -1, 0, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0, 0, 0]]
+    a4_c = [[int(i == j) for j in range(4)] for i in range(8)]
+    a4_cp = a4_c[:4] + [[0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0]]
+    a2_form = [[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+    a2_c, a2_cp = [[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 0], [0, 1], [0, -1], [-1, 0]]
+    for got, C, Cp, form in ((build_ar_example(4), a4_c, a4_cp, a4_form),
+                             (build_a4_example(), a4_c, a4_cp, a4_form),
+                             (build_ar_example(2), a2_c, a2_cp, a2_form)):
+        want = ConePair.from_matrices(C, Cp, BilinearForm.from_rows(form))
+        assert (got.form, got.C, got.C_prime) == (want.form, want.C, want.C_prime)
+
+
 def test_det_identity_exact_on_rational_points():
     rng = random.Random(3)
     r1 = build_r1_example()
@@ -135,12 +154,9 @@ def _golden_pairs():
     return {
         "a4": build_a4_example(),
         "r1": build_r1_example(),
-        "product": ConePair.from_matrices(
-            [[1, 0], [0, 0], [0, 1], [0, 0]], [[2, 0], [1, 0], [0, 2], [0, 1]],
-            BilinearForm.from_rows([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, -2]])),
-        "a2": ConePair.from_matrices(
-            [[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 0], [0, 1], [0, -1], [-1, 0]],
-            BilinearForm.from_rows([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]])),
+        "product": product_pair(),
+        "a2": build_ar_example(2),
+        "a3": build_ar_example(3),
         "seeded_r2_n4_21": _seeded_pair(21, 2, 4),
         "seeded_r2_n3_4": _seeded_pair(4, 2, 3),
         "seeded_r3_n5_39": _seeded_pair(39, 3, 5),
@@ -156,6 +172,7 @@ GOLDEN_DIGESTS = {
     "r1": "b73e88cb7abe46aaafaabdae9e78813f7637307c0bc661486b866d38ac426ed5",
     "product": "a372124b436dde2e393526486b048854b8bf9877d62b6350811ed4dafbc77031",
     "a2": "af53f88a13173234800de42a1fa5e525e5934bd5a52d528fff9f617e1161173a",
+    "a3": "81fd85a23e48c73c93356959ce6c56d9be6732f5e43880097f10f21078dd86bc",
     "seeded_r2_n4_21": "af2a69cc378073cf3def3bb221f2c8fcfa4923015ef94a9fa0595e8d561e9bcb",
     "seeded_r2_n3_4": "42ab180138408d95e05440225d05220dca63034bf4a0677e4e80083a8dd772ca",
     "seeded_r3_n5_39": "f09cdc3f50eae78ed11cd9a9e36923ae49570f6f429e968ee8977decdf597f1f",

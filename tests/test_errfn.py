@@ -473,15 +473,15 @@ def test_m_matches_pinned_values_on_coupled_frames():
     assert got == pytest.approx(PINNED_SEEDED_M, rel=1e-13, abs=0.0)
 
 
-def _eval_M_seeing_erfcx(m, u, monkeypatch):
-    """eval_M's value and the erfcx arguments of every call made under its
-    64-node rule (a rank-4 row may make one per slab)."""
+def _eval_M_seeing_erfcx(m, u, monkeypatch, nodes=64):
+    """eval_M's value under a nodes-node rule and the erfcx arguments of
+    every call made under that rule (a rank-4 row may make one per slab)."""
     seen, rules = [], []
     log_erfcx, joint_rule = errfn._log_erfcx, errfn._joint_rule
     monkeypatch.setattr(errfn, "_joint_rule", lambda group: rules.append(group) or joint_rule(group))
     monkeypatch.setattr(errfn, "_log_erfcx", lambda x: seen.append((rules[-1], x)) or log_erfcx(x))
-    value = eval_M(arg(m, u)).value
-    return value, [x for group, x in seen if 64 in group]
+    value = eval_M(arg(m, u), QuadratureSpec(nodes)).value
+    return value, [x for group, x in seen if nodes in group]
 
 
 @pytest.mark.parametrize("case", range(len(PINNED_NEGATIVE_M)))
@@ -517,6 +517,14 @@ def test_m_is_the_same_whatever_the_pieces(monkeypatch, r, nodes):
     pieces = [(v.value, v.est_error) for v in (eval_M(a, quad) for a in cases)]
     monkeypatch.setattr(errfn, "_J_CELLS", nodes ** (r - 1))
     assert [(v.value, v.est_error) for v in (eval_M(a, quad) for a in cases)] == pieces
+
+
+def test_rank_3_rows_are_never_cut(monkeypatch):
+    # a rank-3 row of 250^2 cells, past _J_CELLS, still goes whole: on a frame
+    # coupled on both node axes every erfcx argument covers whole rows
+    assert 250 ** 2 > errfn._J_CELLS
+    _, seen = _eval_M_seeing_erfcx(GENERAL_FRAMES[3], [0.45, -0.65, 0.3], monkeypatch, 250)
+    assert seen and all(x.shape[1:] == (250, 250) for x in seen)
 
 
 def test_rank_4_m_keeps_its_temporaries_small():

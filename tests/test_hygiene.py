@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package imports is used in
 that module (__init__.py is left out, since its imports are re-exports),
 every private module-level function, class or constant is used somewhere
-in the package outside its own definition, and every private name that a comment
-or docstring of the package names is one its code knows."""
+in the package outside its own definition, every private name that a comment
+or docstring of the package names is one its code knows, and no form is typed
+out twice as a literal."""
 
 import ast
 import io
@@ -124,3 +125,32 @@ def test_private_names_in_prose_are_defined():
     sources = [p.read_text() for p in SRC.glob("*.py")]
     defined = set().union(*map(code_names, sources))
     assert sorted(set().union(*map(prose_names, sources)) - defined) == []
+
+
+def repeated_form_literals(sources: dict) -> list:
+    """The places (module, line) of each literal matrix that sources (module
+    -> source text) pass to from_rows at more than one place."""
+    places = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "from_rows" and node.args):
+                try:
+                    rows = tuple(map(tuple, ast.literal_eval(node.args[0])))
+                except ValueError:
+                    continue
+                places.setdefault(rows, []).append((module, node.lineno))
+    return sorted(sorted(found) for found in places.values() if len(found) > 1)
+
+
+def test_repeated_form_literal_is_found():
+    sources = {"a.py": "F = BilinearForm.from_rows([[1, 0], [0, -1]])\n"
+                       "G = BilinearForm.from_rows([[a, 0], [0, -a]])\n",
+               "b.py": "def f(a):\n    h = BilinearForm.from_rows(((1, 0), (0, -1)))\n"
+                       "    return BilinearForm.from_rows([[a, 0], [0, -a]]), h, "
+                       "BilinearForm.from_rows([[2, 0], [0, -2]])\n"}
+    assert repeated_form_literals(sources) == [[("a.py", 1), ("b.py", 2)]]
+
+
+def test_no_form_literal_is_typed_twice():
+    assert repeated_form_literals({p.name: p.read_text() for p in SRC.glob("*.py")}) == []

@@ -11,9 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import PRODUCT, product_pair
 from thetaforge import errfn, theta
 from thetaforge.boosted import BoostedArgument, build_cone, eval_E_boosted
-from thetaforge.cones import ConePair, build_a4_example
+from thetaforge.cones import ConePair, build_a4_example, build_ar_example, build_r1_example
 from thetaforge.exceptions import BudgetExceeded, ValidationError
 from thetaforge.quadform import BilinearForm
 from thetaforge.theta import (QExpansion, QTerm, ThetaSpec, TruncationPolicy, _CountExceeded,
@@ -196,33 +197,28 @@ def recursive_shifts(U, t, radius, max_points):
     return np.array(out, dtype=np.int64)
 
 
-PRODUCT = BilinearForm.from_rows([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, -2]])
-A2 = BilinearForm.from_rows([[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]])
 D12_HYP = BilinearForm.from_rows([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
-def product_pair():
-    """d12_pair + d12_pair: c = (e1, e3), c' = (2e1 + e2, 2e3 + e4)."""
-    return ConePair.from_matrices([[1, 0], [0, 0], [0, 1], [0, 0]],
-                                  [[2, 0], [1, 0], [0, 2], [0, 1]], PRODUCT)
-
-
 def a2_pair():
-    """The rank-2 A2 analogue of the A4 example: C = (e1, e2),
+    """The rank-2 member of the A4 example's family: C = (e1, e2),
     C' = (e1 - e4, e2 - e3)."""
-    return ConePair.from_matrices([[1, 0], [0, 1], [0, 0], [0, 0]],
-                                  [[1, 0], [0, 1], [0, -1], [-1, 0]], A2)
+    return build_ar_example(2)
+
+
+def a3_pair():
+    return build_ar_example(3)
 
 
 def oracle_pairs(a4_pair):
-    """(name, pair, radii): the three rank-1 pairs, the product pair, the
-    rank-2 A2 analogue of the A4 example and A4 itself."""
-    r1 = ConePair.from_matrices([[1], [0]], [[2], [1]],
-                                BilinearForm.from_rows([[1, 0], [0, -1]]))
+    """(name, pair, radii): the three rank-1 pairs, the product pair and the
+    A2, A3 and A4 members of the A_r family."""
     rank1 = (0.0, 0.5, 1.0, 2.5, 6.0, 12.0)
-    return [("d12", d12_pair(), rank1), ("d22", d22_pair(), rank1), ("r1", r1, rank1),
+    return [("d12", d12_pair(), rank1), ("d22", d22_pair(), rank1),
+            ("r1", build_r1_example(), rank1),
             ("product", product_pair(), (0.5, 1.5, 3.0, 6.0, 12.0)),
-            ("a2", a2_pair(), (0.5, 1.5, 3.0, 6.0)), ("a4", a4_pair, (0.0, 1.0, 2.0, 3.0))]
+            ("a2", a2_pair(), (0.5, 1.5, 3.0, 6.0)), ("a3", a3_pair(), (0.5, 1.5, 3.0, 4.5)),
+            ("a4", a4_pair, (0.0, 1.0, 2.0, 3.0))]
 
 
 def test_layered_enumeration_matches_recursive_oracle(a4_pair):
@@ -529,27 +525,22 @@ def fraction_q_expansion(spec: ThetaSpec, n_terms: int):
 
 
 def qexp_spec(name: str) -> ThetaSpec:
-    d11 = BilinearForm.from_rows([[1, 0], [0, -1]])
     pairs = {
-        "d12": (D12, d12_pair(), (0, 0), (1, 0)),
+        "d12": (d12_pair(), (0, 0), (1, 0)),
         # offset denominators: k = m + (1/2, 0)
-        "d22_half": (D22, d22_pair(), (Fraction(1, 2), 0), (0, 0)),
-        "d11": (d11, ConePair.from_matrices([[1], [0]], [[2], [1]], d11), (0, 0), (1, 1)),
-        "hyp": (HYP, hyp_pair(), (0, 0), (0, 0)),
-        "product": (PRODUCT, ConePair.from_matrices(
-            [[1, 0], [0, 0], [0, 1], [0, 0]], [[2, 0], [1, 0], [0, 2], [0, 1]], PRODUCT),
-            (0,) * 4, (1, 0, 1, 0)),
-        "a2": (A2, ConePair.from_matrices([[1, 0], [0, 1], [0, 0], [0, 0]],
-                                          [[1, 0], [0, 1], [0, -1], [-1, 0]], A2),
-               (0,) * 4, (0,) * 4),
+        "d22_half": (d22_pair(), (Fraction(1, 2), 0), (0, 0)),
+        "d11": (build_r1_example(), (0, 0), (1, 1)),
+        "hyp": (hyp_pair(), (0, 0), (0, 0)),
+        "product": (product_pair(), (0,) * 4, (1, 0, 1, 0)),
+        "a2": (a2_pair(), (0,) * 4, (0,) * 4),
         # walls only in the second factor: behind a zero first factor they
         # are no hit, and the point leaves no class
-        "d12_hyp": (D12_HYP, ConePair.from_matrices(
+        "d12_hyp": (ConePair.from_matrices(
             [[1, 0], [0, 0], [0, 1], [0, 1]], [[2, 0], [1, 0], [0, 2], [0, 1]], D12_HYP),
             (0,) * 4, (1, 0, 0, 0)),
     }
-    form, pair, mu, p = pairs[name]
-    return ThetaSpec(form=form, mu=mu, p=p, b=np.zeros(form.n), c_ell=np.zeros(form.n),
+    pair, mu, p = pairs[name]
+    return ThetaSpec(form=pair.form, mu=mu, p=p, b=np.zeros(pair.n), c_ell=np.zeros(pair.n),
                      tau=1j, kernel="holomorphic", pair=pair)
 
 
@@ -703,12 +694,13 @@ def boosted_kernel_sum(pair, x) -> float:
 
 
 @pytest.mark.parametrize("make_pair, count", [(product_pair, 12), (a2_pair, 12),
-                                              (build_a4_example, 3)])
+                                              (a3_pair, 12), (build_a4_example, 3)])
 def test_batched_kernel_rows(monkeypatch, make_pair, count):
-    # each row of one call (points in pieces of two at rank 2 and of one at
-    # rank 4, orthant integrals in pieces of three rows at rank 2 and one at
-    # ranks 3 and 4) equals the one-point kernel bit for bit, and the 2^r
-    # boosted E sum to 4e-15
+    # each row of one call equals the one-point kernel bit for bit, and the
+    # 2^r boosted E sum to 4e-15. Points go in pieces of two at rank 2 and of
+    # one at ranks 3 and 4; orthant integrals in pieces of three rows at rank
+    # 2 and of one row at ranks 3 and 4. A rank-4 row is also cut into 64
+    # one-node slabs, while a rank-3 row (64^2 cells) goes whole
     monkeypatch.setattr(theta, "_FORMS", 2 * 54)
     monkeypatch.setattr(errfn, "_J_CELLS", 3 * 64)
     pair = make_pair()
@@ -810,12 +802,12 @@ def remainder_spec(name, a4_pair, kernel, rng):
     4T small enough to sum, b and c_ell are drawn from rng."""
     pairs = {"hyp": (hyp_pair(), (0, 0)), "d12": (d12_pair(), (1, 0)),
              "product": (product_pair(), (1, 0, 1, 0)), "a2": (a2_pair(), (0,) * 4),
-             "a4": (a4_pair, (0,) * 8)}
+             "a3": (a3_pair(), (0,) * 6), "a4": (a4_pair, (0,) * 8)}
     pair, p = pairs[name]
     if kernel == "holomorphic":
-        tau, tol = (2j, 1e-2) if name == "a4" else (0.3 + 0.8j, 1e-8)
+        tau, tol = (2j, 1e-2) if name in ("a3", "a4") else (0.3 + 0.8j, 1e-8)
     else:
-        tau, tol = {"a4": (0.3 + 128j, 1e-4), "a2": (0.3 + 2j, 1e-2),
+        tau, tol = {"a4": (0.3 + 128j, 1e-4), "a3": (0.3 + 32j, 1e-2), "a2": (0.3 + 2j, 1e-2),
                     "product": (0.3 + 2j, 1e-2)}.get(name, (0.3 + 0.8j, 1e-8))
     n = pair.n
     return ThetaSpec(form=pair.form, mu=(0,) * n, p=p, b=rng.uniform(-0.5, 0.5, n),
@@ -841,9 +833,9 @@ def term_magnitudes(spec, m):
 
 @pytest.mark.parametrize("name, kernel", [
     ("hyp", "holomorphic"), ("d12", "holomorphic"), ("product", "holomorphic"),
-    ("a2", "holomorphic"), ("a4", "holomorphic"), ("hyp", "completed"),
+    ("a2", "holomorphic"), ("a3", "holomorphic"), ("a4", "holomorphic"), ("hyp", "completed"),
     ("d12", "completed"), ("product", "completed"), ("a2", "completed"),
-    ("a4", "completed")])
+    ("a3", "completed"), ("a4", "completed")])
 def test_remainder_beyond_region_within_tail_estimate(a4_pair, name, kernel):
     # enumerate to 4T: the |terms| found beyond T sum to at most the
     # claimed tail_estimate, which sits at tol
